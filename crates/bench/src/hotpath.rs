@@ -1,11 +1,12 @@
 //! The zero-copy message-spine hot-path harness: a broadcast storm whose
 //! messages carry real protocol payloads ([`Block`]s full of
 //! [`Command`]s), so every per-hop `msg.clone()` inside the simulator
-//! exercises the [`Commands`](eesmr_core::Commands) spine.
+//! exercises the [`Block`] and [`Commands`](eesmr_core::Commands) spine.
 //!
 //! With the Arc spine (the default) a hop clone is a refcount bump;
-//! with [`set_deep_clone_spine`] enabled each hop rebuilds every
-//! command — the pre-change semantics, kept as a measurable baseline.
+//! with [`set_deep_clone_spine`] enabled each hop copies the block and
+//! rebuilds every command — the pre-change semantics, kept as a
+//! measurable baseline.
 //! Both modes are observationally identical (asserted by
 //! [`StormResult::fingerprint`] and the byte-identity proptest), so the
 //! harness isolates allocation cost from behavior.

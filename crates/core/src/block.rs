@@ -69,19 +69,19 @@ impl Hashable for Command {
     }
 }
 
-/// When set, [`Commands::clone`] deep-copies every command instead of
-/// bumping the shared refcount — restoring the pre-Arc-spine clone
-/// semantics. The two modes are observationally identical (`Commands` is
-/// immutable, so sharing is invisible); only the cost differs. Benches
-/// use this to measure the zero-copy win against the old behaviour, and
-/// the determinism proptest uses it to assert reports are bit-identical
-/// under either mode.
+/// When set, [`Block::clone`] and [`Commands::clone`] deep-copy the block
+/// and every command instead of bumping the shared refcount — restoring
+/// the pre-Arc-spine clone semantics. The two modes are observationally
+/// identical (both types are immutable, so sharing is invisible); only
+/// the cost differs. Benches use this to measure the zero-copy win
+/// against the old behaviour, and the determinism proptest uses it to
+/// assert reports are bit-identical under either mode.
 static DEEP_CLONE_SPINE: AtomicBool = AtomicBool::new(false);
 
-/// Switches [`Commands::clone`] between refcount bumps (`false`, the
-/// default) and per-command deep copies (`true`). Global and racy-by
-/// design: both modes produce identical simulation results, so a flip
-/// mid-run only perturbs allocation cost, never outcomes.
+/// Switches [`Block::clone`] and [`Commands::clone`] between refcount
+/// bumps (`false`, the default) and deep copies (`true`). Global and
+/// racy-by design: both modes produce identical simulation results, so a
+/// flip mid-run only perturbs allocation cost, never outcomes.
 pub fn set_deep_clone_spine(on: bool) {
     DEEP_CLONE_SPINE.store(on, Ordering::SeqCst);
 }
@@ -158,9 +158,13 @@ impl<'a> IntoIterator for &'a Commands {
     }
 }
 
-/// One block of the replicated log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Block {
+/// The fields of a [`Block`], read through [`Block`]'s `Deref`.
+///
+/// There is no way to build a `BlockData` outside this module, and no
+/// `&mut` access to one inside a [`Block`], so the cached id always
+/// matches the fields.
+#[derive(Debug, PartialEq, Eq)]
+pub struct BlockData {
     /// Hash of the parent block ([`Digest::ZERO`] for genesis).
     pub parent: Digest,
     /// Distance from genesis.
@@ -171,29 +175,74 @@ pub struct Block {
     pub round: u64,
     /// The commands `Cmds`.
     pub payload: Commands,
+    /// SHA-256 of the canonical encoding, computed once by [`Block::new`].
+    id: Digest,
 }
 
+impl BlockData {
+    /// Appends the canonical encoding the id hashes: `"block" | parent |
+    /// height | view | round | count u64 | (len u64 | bytes)*`, integers
+    /// little-endian. Crate-private: outside this crate the only block
+    /// hash is the one [`Block::new`] caches. A status digest embeds it.
+    pub(crate) fn encode_canonical(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"block");
+        out.extend_from_slice(self.parent.as_bytes());
+        out.extend_from_slice(&self.height.to_le_bytes());
+        out.extend_from_slice(&self.view.to_le_bytes());
+        out.extend_from_slice(&self.round.to_le_bytes());
+        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
+        for cmd in &self.payload {
+            cmd.encode_into(out);
+        }
+    }
+}
+
+/// One block of the replicated log: an immutable, shared handle.
+///
+/// The id is hashed once, in [`Block::new`], so [`Block::id`] is a field
+/// read. A clone is a refcount bump, so every store, message and queued
+/// delivery holding the same block shares one allocation; under
+/// [`set_deep_clone_spine`] a clone deep-copies the fields instead.
+#[derive(PartialEq, Eq)]
+pub struct Block(Arc<BlockData>);
+
 impl Block {
+    /// A block with the given fields. Every block is built here
+    /// ([`Block::genesis`], [`Block::extending`] and the codec's decode
+    /// call it), and this is where its id is hashed, once.
+    pub fn new(
+        parent: Digest,
+        height: u64,
+        view: u64,
+        round: u64,
+        payload: impl Into<Commands>,
+    ) -> Self {
+        let payload = payload.into();
+        let mut data = BlockData { parent, height, view, round, payload, id: Digest::ZERO };
+        let mut bytes = Vec::with_capacity(
+            5 + 32 + 24 + 8 + data.payload.iter().map(|c| 8 + c.len()).sum::<usize>(),
+        );
+        data.encode_canonical(&mut bytes);
+        data.id = Digest::of(&bytes);
+        Block(Arc::new(data))
+    }
+
     /// The genesis block `G`.
     pub fn genesis() -> Self {
-        Block { parent: Digest::ZERO, height: 0, view: 0, round: 0, payload: Commands::default() }
+        Block::new(Digest::ZERO, 0, 0, 0, Commands::default())
     }
 
     /// Creates the proposal block extending `parent` (the `CreateProposal`
     /// helper of Algorithm 1).
     pub fn extending(parent: &Block, view: u64, round: u64, payload: impl Into<Commands>) -> Self {
-        Block {
-            parent: parent.id(),
-            height: parent.height + 1,
-            view,
-            round,
-            payload: payload.into(),
-        }
+        Block::new(parent.id(), parent.height + 1, view, round, payload)
     }
 
-    /// This block's identifier: the hash of its canonical encoding.
+    /// This block's identifier: the SHA-256 of its canonical encoding.
+    /// O(1): the digest was computed by [`Block::new`], and the fields it
+    /// covers cannot change afterwards.
     pub fn id(&self) -> Digest {
-        self.digest()
+        self.0.id
     }
 
     /// 64-bit trace fingerprint of this block's id (see
@@ -215,17 +264,27 @@ impl Block {
     }
 }
 
-impl Hashable for Block {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"block");
-        out.extend_from_slice(self.parent.as_bytes());
-        out.extend_from_slice(&self.height.to_le_bytes());
-        out.extend_from_slice(&self.view.to_le_bytes());
-        out.extend_from_slice(&self.round.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        for cmd in &self.payload {
-            cmd.encode_into(out);
+impl Clone for Block {
+    fn clone(&self) -> Self {
+        if DEEP_CLONE_SPINE.load(Ordering::Relaxed) {
+            let d = &*self.0;
+            Block(Arc::new(BlockData { payload: d.payload.clone(), ..*d }))
+        } else {
+            Block(Arc::clone(&self.0))
         }
+    }
+}
+
+impl std::ops::Deref for Block {
+    type Target = BlockData;
+    fn deref(&self) -> &BlockData {
+        &self.0
+    }
+}
+
+impl std::fmt::Debug for Block {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
     }
 }
 
@@ -432,6 +491,17 @@ impl BlockStore {
 mod tests {
     use super::*;
 
+    /// Clones `x` in the given spine mode. The mode is process-global, so
+    /// the tests that assert on it take turns.
+    fn clone_in_mode<T: Clone>(x: &T, deep: bool) -> T {
+        static MODE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _turn = MODE.lock().unwrap_or_else(|e| e.into_inner());
+        set_deep_clone_spine(deep);
+        let c = x.clone();
+        set_deep_clone_spine(false);
+        c
+    }
+
     fn chain(store: &mut BlockStore, len: usize) -> Vec<Digest> {
         let mut ids = vec![store.genesis_id()];
         for i in 0..len {
@@ -551,13 +621,7 @@ mod tests {
 
         // A gap reads as Unknown, not Fork.
         let far = Block::extending(
-            &Block {
-                parent: Digest::of(b"?"),
-                height: 10,
-                view: 9,
-                round: 9,
-                payload: Commands::default(),
-            },
+            &Block::new(Digest::of(b"?"), 10, 9, 9, Commands::default()),
             9,
             10,
             vec![],
@@ -579,15 +643,62 @@ mod tests {
     #[test]
     fn commands_clone_is_shared_unless_deep_mode_is_on() {
         let batch: Commands = vec![Command::synthetic(0, 16), Command::synthetic(1, 16)].into();
-        let shared = batch.clone();
+        let shared = clone_in_mode(&batch, false);
         assert_eq!(batch, shared);
         assert!(std::ptr::eq(batch.as_ptr(), shared.as_ptr()), "arc clone shares the buffer");
 
-        set_deep_clone_spine(true);
-        let deep = batch.clone();
-        set_deep_clone_spine(false);
+        let deep = clone_in_mode(&batch, true);
         assert_eq!(batch, deep, "deep clones are observationally identical");
         assert!(!std::ptr::eq(batch.as_ptr(), deep.as_ptr()), "deep clone copies the buffer");
+    }
+
+    /// SHA-256 of the canonical encoding, rebuilt by hand from the
+    /// public fields.
+    fn id_by_hand(b: &Block) -> Digest {
+        let mut bytes = b"block".to_vec();
+        bytes.extend_from_slice(b.parent.as_bytes());
+        for x in [b.height, b.view, b.round, b.payload.len() as u64] {
+            bytes.extend_from_slice(&x.to_le_bytes());
+        }
+        for c in &b.payload {
+            bytes.extend_from_slice(&(c.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(c.bytes());
+        }
+        eesmr_crypto::sha256::Sha256::digest(&bytes)
+    }
+
+    #[test]
+    fn cached_id_is_the_hash_of_the_fields() {
+        use eesmr_net::WireCodec;
+        let g = Block::genesis();
+        let b = Block::extending(&g, 1, 3, vec![Command::synthetic(0, 16)]);
+        let n = Block::new(Digest::of(b"?"), 10, 9, 9, vec![Command::new(b"abc".to_vec())]);
+        let decoded = Block::decode(&b.encode()).expect("decodes");
+        let deep = clone_in_mode(&b, true);
+        for blk in [&g, &b, &n, &decoded, &deep] {
+            assert_eq!(blk.id(), id_by_hand(blk), "{blk:?}");
+        }
+        // Pinned so that traces and commit-log prefixes cannot drift.
+        assert_eq!(g.id().to_hex(), GENESIS_ID_HEX);
+        assert_eq!(b.id().to_hex(), BLOCK_1_ID_HEX);
+    }
+
+    /// Id of [`Block::genesis`].
+    const GENESIS_ID_HEX: &str = "b2eee42041fdf5603f95f34cbaa6a954a315aea044407fb2b9eb9fbc16a54829";
+    /// Id of `Block::extending(&genesis, 1, 3, [Command::synthetic(0, 16)])`.
+    const BLOCK_1_ID_HEX: &str = "68f99e56754b8d2dd3b3f72df96a23e2cf9cc9eed444dcf0769dfda3fc82e62c";
+
+    #[test]
+    fn block_clone_is_shared_unless_deep_mode_is_on() {
+        let b = Block::extending(&Block::genesis(), 1, 3, vec![Command::synthetic(0, 16)]);
+        let shared = clone_in_mode(&b, false);
+        assert!(std::ptr::eq(&*b, &*shared), "arc clone shares the block");
+
+        let deep = clone_in_mode(&b, true);
+        assert_eq!(b, deep, "deep clones are observationally identical");
+        assert_eq!(b.id(), deep.id());
+        assert!(!std::ptr::eq(&*b, &*deep), "deep clone copies the block");
+        assert!(!std::ptr::eq(b.payload.as_ptr(), deep.payload.as_ptr()), "and its payload");
     }
 
     #[test]

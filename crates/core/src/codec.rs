@@ -80,13 +80,11 @@ impl WireCodec for Block {
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Block {
-            parent: Digest::decode_from(r)?,
-            height: r.u64()?,
-            view: r.u64()?,
-            round: r.u64()?,
-            payload: Commands::decode_from(r)?,
-        })
+        let parent = Digest::decode_from(r)?;
+        let (height, view, round) = (r.u64()?, r.u64()?, r.u64()?);
+        // `Block::new` hashes the block: a received block's id is computed
+        // here, once, instead of by the replica that handles it.
+        Ok(Block::new(parent, height, view, round, Commands::decode_from(r)?))
     }
 }
 

@@ -44,8 +44,8 @@ pub mod txpool;
 mod view_change;
 
 pub use block::{
-    deep_clone_spine, set_deep_clone_spine, Block, BlockStore, ChainRelation, Command, Commands,
-    Lineage,
+    deep_clone_spine, set_deep_clone_spine, Block, BlockData, BlockStore, ChainRelation, Command,
+    Commands, Lineage,
 };
 pub use broadcast::{build_bb_nodes, BbNode, BbOutput};
 pub use config::{BatchPolicy, Config, FaultMode, LeaderPolicy, Pacing};

@@ -208,13 +208,13 @@ impl Hashable for Status {
                 out.push(1);
                 for c in v {
                     c.qc.encode_into(out);
-                    c.block.encode_into(out);
+                    c.block.encode_canonical(out);
                 }
             }
             Status::Locks(v) => {
                 out.push(2);
                 for s in v {
-                    s.block.encode_into(out);
+                    s.block.encode_canonical(out);
                     out.extend_from_slice(&s.signer.to_le_bytes());
                 }
             }

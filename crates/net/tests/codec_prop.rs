@@ -23,8 +23,8 @@ use eesmr_baselines::trusted::{TbMsg, TbPayload};
 use eesmr_core::broadcast::{BbMsg, BbPayload};
 use eesmr_core::message::signing_bytes;
 use eesmr_core::{
-    Block, CertifiedBlock, Command, Commands, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg,
-    Status,
+    set_deep_clone_spine, Block, CertifiedBlock, Command, Commands, MsgKind, Payload, QuorumCert,
+    SignedBlock, SignedMsg, Status,
 };
 use eesmr_crypto::{Digest, KeyStore, SigScheme};
 use eesmr_net::codec::WireCodec;
@@ -222,6 +222,22 @@ fn tb_variant(ix: u32, rng: &mut StdRng, pki: &KeyStore) -> TbMsg {
     TbMsg { payload, signer, sig }
 }
 
+/// SHA-256 of a block's canonical encoding (`"block" | parent | height |
+/// view | round | count u64 | (len u64 | bytes)*`), rebuilt by hand from
+/// the public fields.
+fn id_by_hand(b: &Block) -> Digest {
+    let mut bytes = b"block".to_vec();
+    bytes.extend_from_slice(b.parent.as_bytes());
+    for x in [b.height, b.view, b.round, b.payload.len() as u64] {
+        bytes.extend_from_slice(&x.to_le_bytes());
+    }
+    for c in &b.payload {
+        bytes.extend_from_slice(&(c.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(c.bytes());
+    }
+    eesmr_crypto::sha256::Sha256::digest(&bytes)
+}
+
 /// The full round-trip triple for one message.
 fn assert_roundtrip<T>(m: &T)
 where
@@ -272,6 +288,23 @@ proptest! {
         let pki = rand_pki(&mut rng);
         let ix = rng.gen_range(0..TB_SHAPES);
         assert_roundtrip(&tb_variant(ix, &mut rng, &pki));
+    }
+
+    /// A block's cached id is the hash of its fields however the block was
+    /// made: built, rebuilt from its fields, decoded, or deep-cloned.
+    #[test]
+    fn block_ids_are_the_hash_of_their_fields(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let block = rand_block(&mut rng);
+        let rebuilt =
+            Block::new(block.parent, block.height, block.view, block.round, block.payload.clone());
+        let decoded = Block::decode(&block.encode()).expect("decodes");
+        set_deep_clone_spine(true);
+        let deep = block.clone();
+        set_deep_clone_spine(false);
+        for b in [&block, &rebuilt, &decoded, &deep] {
+            prop_assert_eq!(b.id(), id_by_hand(b));
+        }
     }
 
     /// The decoded signature still verifies — the wire format carries the

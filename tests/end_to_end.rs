@@ -4,10 +4,13 @@
 use std::sync::Arc;
 
 use eesmr_baselines::check_prefix_consistency;
-use eesmr_core::{build_replicas, Config, FaultMode, Replica};
-use eesmr_crypto::{KeyStore, SigScheme};
-use eesmr_hypergraph::topology::ring_kcast;
-use eesmr_net::{Fate, NetConfig, SimDuration, SimNet};
+use eesmr_baselines::sync_hotstuff::{build_hs_replicas, HsConfig, HsFault, HsVariant};
+use eesmr_baselines::trusted::{build_tb_nodes, TbConfig, TbFault, HUB};
+use eesmr_core::{build_replicas, set_deep_clone_spine, Block, Config, FaultMode, Replica};
+use eesmr_crypto::{Digest, KeyStore, SigScheme};
+use eesmr_energy::Medium;
+use eesmr_hypergraph::topology::{ring_kcast, star};
+use eesmr_net::{ChannelCost, Fate, NetConfig, SimDuration, SimNet};
 use eesmr_sim::{FaultPlan, Protocol, Scenario, StopWhen};
 
 const PROTOCOLS: [Protocol; 3] = [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync];
@@ -236,4 +239,57 @@ fn eesmr_runs_on_real_threads() {
     for (i, (_, meter)) in nodes.iter().enumerate() {
         assert!(meter.total_mj() > 0.0, "node {i} was metered");
     }
+}
+
+/// Asserts that every node holds block `id` and that all their copies are
+/// one allocation; returns that block.
+fn assert_one_allocation<'a>(
+    id: &Digest,
+    mut copies: impl Iterator<Item = Option<&'a Block>>,
+) -> &'a Block {
+    let first = copies.next().flatten().expect("node 0 stores the block");
+    for (i, copy) in copies.enumerate() {
+        let copy = copy.unwrap_or_else(|| panic!("node {} lacks {id:?}", i + 1));
+        assert!(std::ptr::eq(&**first, &**copy), "node {} holds its own copy of {id:?}", i + 1);
+    }
+    first
+}
+
+#[test]
+fn every_replica_shares_one_allocation_per_block() {
+    // A block is built and hashed once, by its proposer; the stores of all
+    // replicas and every message that carried it hold refcounts to it.
+    let n = 7;
+    let run = SimDuration::from_millis(600);
+    let net_cfg = NetConfig::ble(ring_kcast(n, 3), 12);
+    let pki = Arc::new(KeyStore::generate(n, SigScheme::Rsa1024, 12));
+
+    let config = Config::new(n, net_cfg.delta());
+    let mut eesmr =
+        SimNet::new(net_cfg.clone(), build_replicas(&config, &pki, |_| FaultMode::Honest));
+    eesmr.run_for(run);
+    let id = eesmr.actor(0).committed()[2];
+    let block = assert_one_allocation(&id, (0..n as u32).map(|i| eesmr.actor(i).block(&id)));
+
+    let config = HsConfig::new(n, net_cfg.delta(), HsVariant::SyncHotStuff);
+    let mut synchs = SimNet::new(net_cfg, build_hs_replicas(&config, &pki, |_| HsFault::Honest));
+    synchs.run_for(run);
+    let id = synchs.actor(0).committed()[2];
+    assert_one_allocation(&id, (0..n as u32).map(|i| synchs.actor(i).block(&id)));
+
+    let mut tb_cfg = NetConfig::ble(star(n, HUB), 12);
+    tb_cfg.channel = ChannelCost::PerByte { medium: Medium::FourG };
+    let config = TbConfig::new(n, 64, SimDuration::from_millis(5));
+    let mut trusted = SimNet::new(tb_cfg, build_tb_nodes(&config, &pki, |_| TbFault::Honest));
+    trusted.run_for(run);
+    let id = trusted.actor(HUB).committed()[2];
+    assert_one_allocation(&id, (0..n as u32).map(|i| trusted.actor(i).block(&id)));
+
+    // The deep-clone toggle still buys a real copy.
+    set_deep_clone_spine(true);
+    let deep = block.clone();
+    set_deep_clone_spine(false);
+    assert!(!std::ptr::eq(&**block, &*deep), "deep clone is a distinct allocation");
+    assert_eq!(*block, deep);
+    assert_eq!(block.id(), deep.id());
 }
