@@ -470,3 +470,105 @@ fn tracing_cannot_perturb_results() {
         }
     }
 }
+
+/// SHA-256 (hex) over the `Debug` rendering of exactly the fields
+/// `RunReport`'s `PartialEq` compares.
+fn report_digest(r: &RunReport) -> String {
+    let covered = format!(
+        "{:?}",
+        (r.protocol, r.n, r.k, r.f, r.payload_bytes, r.delta_us, r.elapsed_us, &r.nodes, &r.net)
+    );
+    eesmr_crypto::Digest::of(covered.as_bytes()).to_hex()
+}
+
+/// The pinned grid: every protocol × the fault axes that touch the
+/// per-protocol fault translation (silence, equivocation, withholding,
+/// crash-recovery, a healing partition), at n = 7, k = 3, under a small
+/// Poisson workload for a fixed 400 ms — plus `Blocks` cells (the
+/// excuse predicates) and a trusted `ViewReached` cell (a stop the
+/// view-less baseline meets without running).
+fn pinned_scenarios() -> Vec<(String, Scenario)> {
+    let w = Workload::new(ArrivalProcess::Poisson { rate: 400 });
+    let base = |protocol| {
+        Scenario::new(protocol, 7, 3)
+            .workload(w)
+            .stop(StopWhen::Elapsed(SimDuration::from_millis(400)))
+    };
+    let mut cells = Vec::new();
+    for protocol in
+        [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::OptSync, Protocol::TrustedBaseline]
+    {
+        for spec in [
+            FaultSpec::None,
+            FaultSpec::SilentLeader,
+            FaultSpec::Equivocate,
+            FaultSpec::Withhold,
+            FaultSpec::CrashRecovery,
+            FaultSpec::PartitionHeal,
+        ] {
+            cells.push((format!("{protocol:?}/{}", spec.label()), base(protocol).fault_spec(spec)));
+        }
+    }
+    cells.push((
+        "SyncHotStuff/silent-leader/blocks".into(),
+        base(Protocol::SyncHotStuff).fault_spec(FaultSpec::SilentLeader).stop(StopWhen::Blocks(6)),
+    ));
+    cells.push((
+        "TrustedBaseline/withhold/blocks".into(),
+        base(Protocol::TrustedBaseline).fault_spec(FaultSpec::Withhold).stop(StopWhen::Blocks(6)),
+    ));
+    cells.push((
+        "TrustedBaseline/silent-leader/view".into(),
+        base(Protocol::TrustedBaseline)
+            .fault_spec(FaultSpec::SilentLeader)
+            .stop(StopWhen::ViewReached(2)),
+    ));
+    cells
+}
+
+#[test]
+fn reports_match_pinned_digests() {
+    // Same-build comparisons cannot catch a refactor that changes what a
+    // run computes; these digests pin the reports across commits. A
+    // mismatch means behaviour changed: if that is intended, record why
+    // and re-pin from the printed values.
+    const PINNED: &[&str] = &[
+        "9f1c087bdcaec653bd4320530cbad20c2d3b877f0b7803e98a7d95da69d00e04", // Eesmr/none
+        "ac3e9d65eb7e625ba5ed778ac9a6aee4bf0e3ba950614d38435a764fe41a3fb5", // Eesmr/silent-leader
+        "66cb9eb9a4063763591f0025d0ce090ddc0b9cb5a107c721de6956cdadddb274", // Eesmr/equivocate
+        "5ae7f89f0ea55c4c8069c77ec382262fa00acb58dcb62ef2d2501c118d011e05", // Eesmr/withhold
+        "da057bb379672042cc356bd2c28b74c9242bc3d5c7dedb3468bc3a0c52ab3a2e", // Eesmr/crash-recovery
+        "4e3a1bab12007b386a161861fc06d7150a982663961a8d0a83ac5ad573e67756", // Eesmr/partition-heal
+        "8613dfd1b8ab36ab632b789cb69140135815893d010089942585ee1dff221597", // SyncHotStuff/none
+        "a2fa9a4b8350f4a5ab17f1be89f6c605d6ace0e25bfaba4d4ac205fb508f5661", // SyncHotStuff/silent-leader
+        "d81e01a8be814db9cf4db6a3aa2c69676265c9f54f7df8042db34bdc8d1c2867", // SyncHotStuff/equivocate
+        "54bef477723c78c6c895ca3985ec18a4ffacdaba58882387a21c74e836249228", // SyncHotStuff/withhold
+        "c26b9f2865a7c2c00c329d7f973438215c0372c07ef03832832798d17ec90ed3", // SyncHotStuff/crash-recovery
+        "64a30044bcefefbdcdc89b84b73411e9c670d34bc353e0d8363f4dc6da83273a", // SyncHotStuff/partition-heal
+        "336abb80379f248eba4c3eb8aeb5ebdae7fbb858a8f7fdb55ea4a0e5aa23c589", // OptSync/none
+        "5e401530054960f56d5b1aef5283b9c3ee031b81233ad0b2df02b748611cbade", // OptSync/silent-leader
+        "b69a7fd8345c7871c443547e00541c776a00f06e5d0be2510efc43e91394d4c8", // OptSync/equivocate
+        "a0e9472e5d6a61a196a6a9ba67e5979b06370da778545b577d7335a7ee34497f", // OptSync/withhold
+        "187fb225b92f9b80f51a2b8525a5af39b3a788a5ed43edd6cc903a465acf4c86", // OptSync/crash-recovery
+        "f1f344d720946d58d091ae15ea0500bf226a3d01c18fbb91c02fb24fa9994337", // OptSync/partition-heal
+        "41c713670c788fab40252399d0788671bc35b5ba7770882dbf6babf822e463b2", // TrustedBaseline/none
+        "41c713670c788fab40252399d0788671bc35b5ba7770882dbf6babf822e463b2", // TrustedBaseline/silent-leader
+        "41c713670c788fab40252399d0788671bc35b5ba7770882dbf6babf822e463b2", // TrustedBaseline/equivocate
+        "bf7ba8ae0acb9cc2cd5174dbb559bfabf94fe9ef035ca70c8225aebba644131f", // TrustedBaseline/withhold
+        "e0fda04da781f4bfb91878397634405963c1df8d6c2bdccaa7473fb818cf22e3", // TrustedBaseline/crash-recovery
+        "42f240a1cc91e4faa4aa6e1fd393d248058fce85c9333e41dcc2ca76eb225630", // TrustedBaseline/partition-heal
+        "5b26226c6603532789ad3e82fa488e5f4e5962d5085a844eeac8043cb2f22841", // SyncHotStuff/silent-leader/blocks
+        "1ca339f4989bd89c617f59a94ab960f3b76cbb123eca06ed17ba46b4a4350018", // TrustedBaseline/withhold/blocks
+        "6942937aa45a5459d85c8dc736f3e714ddd051d5da8a6fdc4941832fb92e9293", // TrustedBaseline/silent-leader/view
+    ];
+    let actual: Vec<(String, String)> = pinned_scenarios()
+        .into_iter()
+        .map(|(name, scenario)| (name, report_digest(&scenario.run())))
+        .collect();
+    let rendered: String =
+        actual.iter().map(|(name, digest)| format!("        \"{digest}\", // {name}\n")).collect();
+    assert_eq!(actual.len(), PINNED.len(), "pinned grid size changed; actual:\n{rendered}");
+    for ((name, digest), pinned) in actual.iter().zip(PINNED) {
+        assert_eq!(digest, pinned, "{name} report changed; actual:\n{rendered}");
+    }
+}
