@@ -19,14 +19,16 @@
 //! **Adaptive windows.** On runs without a stop predicate
 //! ([`run_until`](ShardedNet::run_until) / [`run_for`](ShardedNet::run_for))
 //! the barrier cadence is adaptive: shard `r` may process every local
-//! event strictly before `min over s ≠ r of (next_s + L)`, where `next_s`
-//! is shard `s`'s earliest pending event at the barrier — the classic
-//! Chandy–Misra–Bryant null-message bound. Any cross-shard delivery shard
-//! `s` can still produce arrives no earlier than `next_s + L` (events
-//! never go backwards in time and cross-shard hops cost at least `L`), so
-//! the bound is conservative; when the other shards are idle or far
-//! behind, one barrier round covers many lookahead windows, and a lone
-//! busy shard drains to the limit in a single window. With a stop
+//! event strictly before `min over s ≠ r of (min(next_s, G + L) + L)`,
+//! where `next_s` is shard `s`'s earliest pending event at the barrier
+//! and `G` the earliest across all shards — the classic
+//! Chandy–Misra–Bryant null-message bound. Shard `s` acts no earlier than
+//! its own next event or the first cross-shard delivery this window can
+//! hand it (`G + L`, which covers `r`'s own sends bouncing back), and its
+//! deliveries to `r` cost another `L` (events never go backwards in time
+//! and cross-shard hops cost at least `L`), so the bound is conservative;
+//! when the other shards are far behind, one barrier round covers many
+//! lookahead windows. With a stop
 //! predicate the fixed `L`-wide cadence is kept, because the predicate is
 //! part of the observable schedule: it must be evaluated at the same
 //! barrier times for every shard count.
@@ -400,11 +402,13 @@ where
 
     /// Fills `horizons[r]` with the adaptive (CMB null-message) bound for
     /// shard `r`: every local event strictly before
-    /// `min over s ≠ r of (next_s + lookahead)` is safe to process without
-    /// another exchange, because a shard whose earliest pending event is
-    /// `next_s` cannot make anything arrive cross-shard before
-    /// `next_s + lookahead`. Shards with no foreign activity pending run
-    /// straight to the limit. Returns `false` — leaving `horizons`
+    /// `min(min over s ≠ r of next_s, global_min + lookahead) + lookahead`
+    /// is safe to process without another exchange. Nothing can reach
+    /// shard `r` from shard `s` before `s` acts, and `s` acts no earlier
+    /// than its own next event or than the first cross-shard delivery
+    /// this window can hand it (`global_min + lookahead`, which covers
+    /// `r`'s own sends bouncing back); either way its deliveries cost
+    /// another `lookahead`. Returns `false` — leaving `horizons`
     /// untouched — when no pending event is at or before the limit.
     fn adaptive_horizons(
         nexts: &[Option<u64>],
@@ -412,22 +416,21 @@ where
         limit: u64,
         horizons: &[Mutex<u64>],
     ) -> bool {
-        let global_min = nexts.iter().copied().flatten().min();
-        if global_min.is_none_or(|m| m > limit) {
-            return false;
-        }
-        let open_end = limit.saturating_add(1);
+        let global_min = match nexts.iter().copied().flatten().min() {
+            Some(m) if m <= limit => m,
+            _ => return false,
+        };
+        let first_delivery = global_min.saturating_add(lookahead);
         for (r, slot) in horizons.iter().enumerate() {
             let foreign_min = nexts
                 .iter()
                 .enumerate()
                 .filter(|&(s, _)| s != r)
-                .filter_map(|(_, &next)| next)
-                .min();
-            *slot.lock().unwrap() = match foreign_min {
-                Some(m) => m.saturating_add(lookahead).min(open_end),
-                None => open_end,
-            };
+                .map(|(_, &next)| next.map_or(first_delivery, |n| n.min(first_delivery)))
+                .min()
+                .unwrap_or(first_delivery);
+            *slot.lock().unwrap() =
+                foreign_min.saturating_add(lookahead).min(limit.saturating_add(1));
         }
         true
     }
@@ -688,6 +691,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Node 0 pings node 1 every millisecond; node 1 — alone on the
+    /// other shard of a two-shard split, idle at every barrier — echoes
+    /// each ping back.
+    #[derive(Debug, Default)]
+    struct Pinger {
+        echoes: Vec<u64>,
+    }
+
+    impl Actor for Pinger {
+        type Msg = TMsg;
+        type Timer = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, TMsg, ()>) {
+            if ctx.id() == 0 {
+                ctx.set_timer(SimDuration::from_millis(1), ());
+            }
+        }
+
+        fn on_message(&mut self, from: NodeId, msg: TMsg, ctx: &mut Context<'_, TMsg, ()>) {
+            match msg {
+                TMsg::Ping(x) => ctx.send_to(from, TMsg::Echo(x)),
+                TMsg::Echo(x) => self.echoes.push(x),
+                TMsg::Hop(_) => {}
+            }
+        }
+
+        fn on_timer(&mut self, _: (), ctx: &mut Context<'_, TMsg, ()>) {
+            ctx.send_to(1, TMsg::Ping(ctx.now().as_micros()));
+            ctx.set_timer(SimDuration::from_millis(1), ());
+        }
+    }
+
+    #[test]
+    fn a_busy_shard_never_outruns_replies_from_an_idle_one() {
+        // The adaptive window must not let shard 0 drain to the limit
+        // just because shard 1 has nothing pending: shard 1's echoes to
+        // shard 0's own pings would then land in shard 0's past.
+        let horizon = SimTime::ZERO + SimDuration::from_millis(20);
+        let pingers = || (0..2).map(|_| Pinger::default()).collect::<Vec<_>>();
+        let mut reference = SimNet::new(NetConfig::ble(ring_kcast(2, 1), 5), pingers());
+        reference.run_until(horizon);
+        let mut net = ShardedNet::new(NetConfig::ble(ring_kcast(2, 1), 5), pingers(), 2);
+        net.run_until(horizon);
+        assert!(reference.actor(0).echoes.len() >= 10, "the echoes came back");
+        assert_eq!(net.actor(0).echoes, reference.actor(0).echoes);
+        assert_eq!(net.stats(), reference.stats().clone());
     }
 
     #[test]
