@@ -1,7 +1,10 @@
 //! A small trait unifying the observable state of all SMR replicas in this
-//! repository, so harnesses and tests can assert safety/liveness generically.
+//! repository, so harnesses and tests can assert safety/liveness and
+//! build per-node reports generically.
 
+use eesmr_core::{Block, Metrics};
 use eesmr_crypto::Digest;
+use eesmr_trace::hist::LogHistogram;
 
 /// Observable replication state.
 pub trait SmrStatus {
@@ -13,6 +16,19 @@ pub trait SmrStatus {
 
     /// The replica's current view.
     fn view(&self) -> u64;
+
+    /// Looks up a stored block by id.
+    fn block(&self, id: &Digest) -> Option<&Block>;
+
+    /// Protocol counters.
+    fn metrics(&self) -> &Metrics;
+
+    /// High-water mark of the pending-command backlog over the run.
+    fn peak_backlog(&self) -> usize;
+
+    /// End-to-end (birth → local commit) latencies of the workload
+    /// transactions injected at this replica, µs.
+    fn tx_latencies(&self) -> &LogHistogram;
 }
 
 impl SmrStatus for eesmr_core::Replica {
@@ -26,6 +42,22 @@ impl SmrStatus for eesmr_core::Replica {
 
     fn view(&self) -> u64 {
         self.current_view()
+    }
+
+    fn block(&self, id: &Digest) -> Option<&Block> {
+        self.block(id)
+    }
+
+    fn metrics(&self) -> &Metrics {
+        self.metrics()
+    }
+
+    fn peak_backlog(&self) -> usize {
+        self.peak_backlog()
+    }
+
+    fn tx_latencies(&self) -> &LogHistogram {
+        self.tx_latencies()
     }
 }
 

@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use eesmr_core::message::signing_bytes;
 use eesmr_core::{
-    AdaptiveBatcher, BatchPolicy, Block, BlockStore, CertifiedBlock, Command, Commands, Metrics,
-    MsgKind, QuorumCert, TxPool, WorkloadSource,
+    AdaptiveBatcher, BatchPolicy, Block, BlockStore, CertifiedBlock, Command, Commands, FaultMode,
+    Metrics, MsgKind, QuorumCert, TxPool, WorkloadSource,
 };
 use eesmr_crypto::{Digest, Hashable, KeyPair, KeyStore, Signature};
 use eesmr_net::{
@@ -344,92 +344,9 @@ pub enum HsTimer {
     /// Δ flush deadline for a sub-threshold forward batch (armed when
     /// `forward_batch > 1` and the backlog is below the threshold).
     ForwardFlush,
-    /// A crashed node's restart point ([`HsFault::Crash`] with a
+    /// A crashed node's restart point ([`FaultMode::Crash`] with a
     /// `restart_at_us`): re-arm timers and run the repair protocol.
     Restart,
-}
-
-/// Injected fault behaviour (mirrors `eesmr_core::FaultMode`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HsFault {
-    /// Correct.
-    Honest,
-    /// Fully silent from the given view on.
-    Silent {
-        /// First silent view.
-        from_view: u64,
-    },
-    /// Equivocates when leading the given view.
-    Equivocate {
-        /// The view.
-        in_view: u64,
-    },
-    /// Withholds its explicit vote from `from_view` on while otherwise
-    /// following the protocol — the quorum-starving adversary the
-    /// certificate-based baselines are sensitive to.
-    Withhold {
-        /// First view in which votes are withheld.
-        from_view: u64,
-    },
-    /// Re-multicasts every vote `repeats` extra times from `from_view`
-    /// on: dedup absorbs the copies but traffic and energy inflate.
-    Storm {
-        /// First storming view.
-        from_view: u64,
-        /// Extra copies per vote.
-        repeats: u32,
-    },
-    /// Crashes at `at_us`; if `restart_at_us` is set, restarts then and
-    /// runs the repair protocol to catch up.
-    Crash {
-        /// Outage start (µs).
-        at_us: u64,
-        /// Restart time (µs), or `None` to stay down.
-        restart_at_us: Option<u64>,
-    },
-}
-
-impl HsFault {
-    fn is_active_in(&self, view: u64) -> bool {
-        match self {
-            HsFault::Honest
-            | HsFault::Equivocate { .. }
-            | HsFault::Withhold { .. }
-            | HsFault::Storm { .. }
-            | HsFault::Crash { .. } => true,
-            HsFault::Silent { from_view } => view < *from_view,
-        }
-    }
-
-    fn online(&self, now_us: u64) -> bool {
-        match self {
-            HsFault::Crash { at_us, restart_at_us } => {
-                now_us < *at_us || restart_at_us.is_some_and(|r| now_us >= r)
-            }
-            _ => true,
-        }
-    }
-
-    fn relays_in(&self, view: u64) -> bool {
-        match self {
-            HsFault::Withhold { from_view } => view < *from_view,
-            _ => true,
-        }
-    }
-
-    fn storm_repeats_in(&self, view: u64) -> u32 {
-        match self {
-            HsFault::Storm { from_view, repeats } if view >= *from_view => *repeats,
-            _ => 0,
-        }
-    }
-
-    fn restart_at_us(&self) -> Option<u64> {
-        match self {
-            HsFault::Crash { restart_at_us, .. } => *restart_at_us,
-            _ => None,
-        }
-    }
 }
 
 type Ctx<'a> = Context<'a, HsMsg, HsTimer>;
@@ -439,7 +356,7 @@ pub struct HsReplica {
     id: NodeId,
     config: HsConfig,
     pki: Arc<KeyStore>,
-    fault: HsFault,
+    fault: FaultMode,
 
     v_cur: u64,
     store: BlockStore,
@@ -491,7 +408,7 @@ impl core::fmt::Debug for HsReplica {
 
 impl HsReplica {
     /// Creates a replica.
-    pub fn new(id: NodeId, config: HsConfig, pki: Arc<KeyStore>, fault: HsFault) -> Self {
+    pub fn new(id: NodeId, config: HsConfig, pki: Arc<KeyStore>, fault: FaultMode) -> Self {
         assert!(pki.n() >= config.n, "key store must cover all nodes");
         let store = BlockStore::new();
         let genesis = store.genesis_id();
@@ -750,7 +667,7 @@ impl HsReplica {
         let msg = self.sign(HsPayload::Propose { block: block.clone(), justify }, ctx);
         ctx.flood(msg);
 
-        if let HsFault::Equivocate { in_view } = self.fault {
+        if let FaultMode::Equivocate { in_view } = self.fault {
             if in_view == self.v_cur {
                 let twin = Block::extending(
                     &parent,
@@ -1432,13 +1349,29 @@ impl crate::status::SmrStatus for HsReplica {
     fn view(&self) -> u64 {
         self.v_cur
     }
+
+    fn block(&self, id: &Digest) -> Option<&Block> {
+        self.block(id)
+    }
+
+    fn metrics(&self) -> &Metrics {
+        self.metrics()
+    }
+
+    fn peak_backlog(&self) -> usize {
+        self.peak_backlog()
+    }
+
+    fn tx_latencies(&self) -> &eesmr_trace::hist::LogHistogram {
+        self.tx_latencies()
+    }
 }
 
 /// Builds a system of replicas sharing a PKI.
 pub fn build_hs_replicas(
     config: &HsConfig,
     pki: &Arc<KeyStore>,
-    faults: impl Fn(NodeId) -> HsFault,
+    faults: impl Fn(NodeId) -> FaultMode,
 ) -> Vec<HsReplica> {
     (0..config.n as NodeId)
         .map(|id| HsReplica::new(id, config.clone(), pki.clone(), faults(id)))

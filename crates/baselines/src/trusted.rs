@@ -16,13 +16,11 @@ use std::sync::Arc;
 
 use eesmr_core::message::signing_bytes;
 use eesmr_core::{
-    AdaptiveBatcher, BatchPolicy, Block, BlockStore, Command, Commands, Metrics, MsgKind, TxPool,
-    WorkloadSource,
+    AdaptiveBatcher, BatchPolicy, Block, BlockStore, Command, Commands, FaultMode, Metrics,
+    MsgKind, TxPool, WorkloadSource,
 };
 use eesmr_crypto::{Digest, KeyPair, KeyStore, Signature};
-use eesmr_net::{
-    Actor, Context, Message, NodeId, SimDuration, SimTime, TraceClass, TraceEventKind,
-};
+use eesmr_net::{Actor, Context, Message, NodeId, SimDuration, TraceClass, TraceEventKind};
 
 /// Messages between CPS nodes and the trusted hub.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,62 +50,6 @@ pub enum TbPayload {
         /// Blocks above the requested height, oldest first.
         blocks: Vec<Block>,
     },
-}
-
-/// Fault behaviour injected into a spoke (the externally powered hub is
-/// always honest). The trusted baseline has no views, so faults are
-/// time-keyed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TbFault {
-    /// Follows the protocol.
-    Honest,
-    /// Stops uploading and processing from `from_us` on (models silent
-    /// and vote-withholding adversaries, which the hub reduces to the
-    /// same thing: a spoke that contributes nothing).
-    Silent {
-        /// First silent microsecond.
-        from_us: u64,
-    },
-    /// Re-sends every upload `repeats` extra times (duplicate storms;
-    /// the hub dedups by upload content, but the expensive link pays).
-    Storm {
-        /// Extra copies per upload.
-        repeats: u32,
-    },
-    /// Crashes at `at_us`; with a `restart_at_us` the spoke comes back
-    /// and repairs from the hub.
-    Crash {
-        /// Outage start (µs).
-        at_us: u64,
-        /// Restart time (µs), or `None` to stay down.
-        restart_at_us: Option<u64>,
-    },
-}
-
-impl TbFault {
-    fn active(&self, now_us: u64) -> bool {
-        match self {
-            TbFault::Silent { from_us } => now_us < *from_us,
-            TbFault::Crash { at_us, restart_at_us } => {
-                now_us < *at_us || restart_at_us.is_some_and(|r| now_us >= r)
-            }
-            _ => true,
-        }
-    }
-
-    fn storm_repeats(&self) -> u32 {
-        match self {
-            TbFault::Storm { repeats } => *repeats,
-            _ => 0,
-        }
-    }
-
-    fn restart_at_us(&self) -> Option<u64> {
-        match self {
-            TbFault::Crash { restart_at_us, .. } => *restart_at_us,
-            _ => None,
-        }
-    }
 }
 
 /// A signed trusted-baseline message.
@@ -197,7 +139,7 @@ pub enum TbTimer {
     /// `WorkloadSource` (spokes only).
     Arrival,
     /// A crashed spoke coming back online (armed at start from the
-    /// fault schedule; fires exactly when `TbFault::active` flips back).
+    /// fault schedule; fires exactly when the spoke is live again).
     Restart,
 }
 
@@ -248,9 +190,8 @@ pub struct TbNode {
     pending: Vec<Command>,
     committed_log: Vec<Digest>,
     committed_height: u64,
-    first_seen: std::collections::HashMap<Digest, SimTime>,
     metrics: Metrics,
-    fault: TbFault,
+    fault: FaultMode,
     repair_inflight: bool,
 }
 
@@ -285,9 +226,8 @@ impl TbNode {
             pending: Vec::new(),
             committed_log: Vec::new(),
             committed_height: 0,
-            first_seen: std::collections::HashMap::new(),
             metrics: Metrics::default(),
-            fault: TbFault::Honest,
+            fault: FaultMode::Honest,
             repair_inflight: false,
         }
     }
@@ -314,6 +254,28 @@ impl TbNode {
 
     fn is_hub(&self) -> bool {
         self.id == HUB
+    }
+
+    /// Whether the process is up at `now_us`. The baseline has no views,
+    /// so view-keyed faults are judged at its one constant view, 1.
+    fn live(&self, now_us: u64) -> bool {
+        self.fault.is_active_in(1) && self.fault.online(now_us)
+    }
+
+    /// Appends `block`, which extends the tip, to the committed chain.
+    fn commit(&mut self, block: &Block, ctx: &mut Ctx<'_>) {
+        let id = self.store.insert(block.clone());
+        self.tip = id;
+        self.committed_log.push(id);
+        self.committed_height = block.height;
+        self.metrics.blocks_committed += 1;
+        self.metrics.committed_height = block.height;
+        if ctx.traces(TraceClass::Commit) {
+            ctx.trace(TraceEventKind::Commit {
+                block: eesmr_core::block::fingerprint(&id),
+                height: block.height,
+            });
+        }
     }
 
     /// Attaches a client-workload stream to this spoke (the externally
@@ -378,7 +340,7 @@ impl TbNode {
             TbMsg::new(TbPayload::Request { batch: batch.into(), seq }, self.pki.keypair(self.id));
         ctx.meter().charge_sign(self.pki.scheme());
         ctx.meter().charge_hash(msg.wire_size());
-        for _ in 0..self.fault.storm_repeats() {
+        for _ in 0..self.fault.storm_repeats_in(1) {
             ctx.multicast(msg.clone());
         }
         ctx.multicast(msg); // the spoke's only edge points at the hub
@@ -409,11 +371,11 @@ impl Actor for TbNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         // Armed before the fault gate: the sim starts at t = 0, so the
         // delay equals the absolute restart time and the timer fires
-        // exactly when `TbFault::active` flips back on.
+        // exactly when `live` flips back on.
         if let Some(restart_us) = self.fault.restart_at_us() {
             ctx.set_timer(SimDuration::from_micros(restart_us), TbTimer::Restart);
         }
-        if !self.fault.active(ctx.now().as_micros()) {
+        if !self.live(ctx.now().as_micros()) {
             return;
         }
         if self.is_hub() {
@@ -429,7 +391,7 @@ impl Actor for TbNode {
     }
 
     fn on_message(&mut self, _from: NodeId, msg: TbMsg, ctx: &mut Ctx<'_>) {
-        if !self.fault.active(ctx.now().as_micros()) {
+        if !self.live(ctx.now().as_micros()) {
             return; // crashed or silent: the process is not there
         }
         match &msg.payload {
@@ -453,7 +415,6 @@ impl Actor for TbNode {
                 if !msg.verify_sig(&self.pki) {
                     return;
                 }
-                let block = block.clone();
                 if block.parent != self.tip {
                     // A gap in the hub's linear chain (we missed blocks
                     // during an outage or a lossy stretch): catch up
@@ -463,22 +424,8 @@ impl Actor for TbNode {
                     }
                     return;
                 }
-                let id = self.store.insert(block.clone());
-                self.tip = id;
-                self.committed_log.push(id);
-                self.committed_height = block.height;
-                self.metrics.blocks_committed += 1;
-                self.metrics.committed_height = block.height;
-                if let Some(seen) = self.first_seen.remove(&id) {
-                    self.metrics.record_commit_latency(ctx.now().since(seen));
-                }
-                if ctx.traces(TraceClass::Commit) {
-                    ctx.trace(TraceEventKind::Commit {
-                        block: eesmr_core::block::fingerprint(&id),
-                        height: block.height,
-                    });
-                }
-                self.txpool.remove_committed(&block, ctx.now());
+                self.commit(block, ctx);
+                self.txpool.remove_committed(block, ctx.now());
                 // Upload the next unit after each ordered block.
                 self.upload(ctx);
             }
@@ -528,20 +475,8 @@ impl Actor for TbNode {
                     if block.parent != self.tip {
                         continue; // must extend our committed tip in order
                     }
-                    let block = block.clone();
-                    let id = self.store.insert(block.clone());
-                    self.tip = id;
-                    self.committed_log.push(id);
-                    self.committed_height = block.height;
-                    self.metrics.blocks_committed += 1;
-                    self.metrics.committed_height = block.height;
-                    if ctx.traces(TraceClass::Commit) {
-                        ctx.trace(TraceEventKind::Commit {
-                            block: eesmr_core::block::fingerprint(&id),
-                            height: block.height,
-                        });
-                    }
-                    self.txpool.remove_committed(&block, ctx.now());
+                    self.commit(block, ctx);
+                    self.txpool.remove_committed(block, ctx.now());
                 }
                 // Caught up (or as far as one capped reply gets us):
                 // resume the upload loop.
@@ -551,7 +486,7 @@ impl Actor for TbNode {
     }
 
     fn on_timer(&mut self, token: TbTimer, ctx: &mut Ctx<'_>) {
-        if !self.fault.active(ctx.now().as_micros()) {
+        if !self.live(ctx.now().as_micros()) {
             return; // timers armed before the outage die with the process
         }
         match token {
@@ -578,18 +513,7 @@ impl Actor for TbNode {
                             round: block.height,
                         });
                     }
-                    let id = self.store.insert(block.clone());
-                    self.tip = id;
-                    self.committed_log.push(id);
-                    self.committed_height = block.height;
-                    self.metrics.blocks_committed += 1;
-                    self.metrics.committed_height = block.height;
-                    if ctx.traces(TraceClass::Commit) {
-                        ctx.trace(TraceEventKind::Commit {
-                            block: eesmr_core::block::fingerprint(&id),
-                            height: block.height,
-                        });
-                    }
+                    self.commit(&block, ctx);
                     let msg = TbMsg::new(TbPayload::Ordered { block }, self.pki.keypair(self.id));
                     ctx.meter().charge_sign(self.pki.scheme());
                     ctx.meter().charge_hash(msg.wire_size());
@@ -643,15 +567,32 @@ impl crate::status::SmrStatus for TbNode {
     fn view(&self) -> u64 {
         1 // the trusted baseline has no views
     }
+
+    fn block(&self, id: &Digest) -> Option<&Block> {
+        self.block(id)
+    }
+
+    fn metrics(&self) -> &Metrics {
+        self.metrics()
+    }
+
+    fn peak_backlog(&self) -> usize {
+        self.peak_backlog()
+    }
+
+    fn tx_latencies(&self) -> &eesmr_trace::hist::LogHistogram {
+        self.tx_latencies()
+    }
 }
 
 /// Builds the hub (node 0) plus `n − 1` CPS nodes. `faults` assigns a
-/// behaviour to each spoke; the externally powered hub is always honest
+/// behaviour to each spoke, judged at the baseline's constant view 1
+/// (it has no views); the externally powered hub is always honest
 /// regardless of what the closure returns for node 0.
 pub fn build_tb_nodes(
     config: &TbConfig,
     pki: &Arc<KeyStore>,
-    faults: impl Fn(NodeId) -> TbFault,
+    faults: impl Fn(NodeId) -> FaultMode,
 ) -> Vec<TbNode> {
     (0..config.n as NodeId)
         .map(|id| {

@@ -3,10 +3,9 @@
 use std::sync::Arc;
 
 use eesmr_baselines::check_prefix_consistency;
-use eesmr_baselines::sync_hotstuff::{
-    build_hs_replicas, HsConfig, HsFault, HsPacing, HsReplica, HsVariant,
-};
-use eesmr_baselines::trusted::{build_tb_nodes, TbConfig, TbFault, TbNode, HUB};
+use eesmr_baselines::sync_hotstuff::{build_hs_replicas, HsConfig, HsPacing, HsReplica, HsVariant};
+use eesmr_baselines::trusted::{build_tb_nodes, TbConfig, TbNode, HUB};
+use eesmr_core::FaultMode;
 use eesmr_crypto::{KeyStore, SigScheme};
 use eesmr_energy::{EnergyCategory, Medium};
 use eesmr_hypergraph::topology::{ring_kcast, star};
@@ -16,7 +15,7 @@ fn run_hs(
     n: usize,
     k: usize,
     variant: HsVariant,
-    faults: fn(u32) -> HsFault,
+    faults: fn(u32) -> FaultMode,
     millis: u64,
 ) -> SimNet<HsReplica> {
     let net_cfg = NetConfig::ble(ring_kcast(n, k), 5);
@@ -35,7 +34,7 @@ fn assert_consistent(net: &SimNet<HsReplica>, correct: impl Iterator<Item = u32>
 
 #[test]
 fn synchs_honest_run_commits() {
-    let net = run_hs(5, 2, HsVariant::SyncHotStuff, |_| HsFault::Honest, 400);
+    let net = run_hs(5, 2, HsVariant::SyncHotStuff, |_| FaultMode::Honest, 400);
     for id in 0..5 {
         assert!(
             net.actor(id).committed_height() >= 5,
@@ -51,7 +50,7 @@ fn synchs_honest_run_commits() {
 fn synchs_every_node_signs_votes() {
     // The certificate work EESMR avoids: every node signs one vote per
     // block in Sync HotStuff.
-    let net = run_hs(5, 2, HsVariant::SyncHotStuff, |_| HsFault::Honest, 400);
+    let net = run_hs(5, 2, HsVariant::SyncHotStuff, |_| FaultMode::Honest, 400);
     let committed = net.actor(0).committed_height();
     for id in 0..5 {
         let signs = net.meter(id).count(EnergyCategory::Sign);
@@ -65,7 +64,7 @@ fn synchs_view_change_on_silent_leader() {
         5,
         2,
         HsVariant::SyncHotStuff,
-        |id| if id == 0 { HsFault::Silent { from_view: 1 } } else { HsFault::Honest },
+        |id| if id == 0 { FaultMode::Silent { from_view: 1 } } else { FaultMode::Honest },
         1_500,
     );
     for id in 1..5 {
@@ -81,7 +80,7 @@ fn synchs_equivocating_leader_is_caught() {
         5,
         2,
         HsVariant::SyncHotStuff,
-        |id| if id == 0 { HsFault::Equivocate { in_view: 1 } } else { HsFault::Honest },
+        |id| if id == 0 { FaultMode::Equivocate { in_view: 1 } } else { FaultMode::Honest },
         1_500,
     );
     for id in 1..5 {
@@ -100,7 +99,7 @@ fn optsync_commits_faster_than_synchs_wallclock() {
         let mut config = HsConfig::new(n, net_cfg.delta(), variant);
         config.pacing = HsPacing::Streaming;
         let pki = Arc::new(KeyStore::generate(n, SigScheme::Rsa1024, 6));
-        let replicas = build_hs_replicas(&config, &pki, |_| HsFault::Honest);
+        let replicas = build_hs_replicas(&config, &pki, |_| FaultMode::Honest);
         let mut net = SimNet::new(net_cfg, replicas);
         net.run_for(SimDuration::from_millis(400));
         net.actor(0).committed_height()
@@ -114,8 +113,8 @@ fn optsync_commits_faster_than_synchs_wallclock() {
 
 #[test]
 fn optsync_verifies_more_than_synchs() {
-    let opt = run_hs(8, 3, HsVariant::OptSync, |_| HsFault::Honest, 400);
-    let classic = run_hs(8, 3, HsVariant::SyncHotStuff, |_| HsFault::Honest, 400);
+    let opt = run_hs(8, 3, HsVariant::OptSync, |_| FaultMode::Honest, 400);
+    let classic = run_hs(8, 3, HsVariant::SyncHotStuff, |_| FaultMode::Honest, 400);
     let per_block = |net: &SimNet<HsReplica>| {
         let verifies: u64 = (0..8).map(|id| net.meter(id).count(EnergyCategory::Verify)).sum();
         let blocks = net.actor(0).committed_height().max(1);
@@ -126,8 +125,8 @@ fn optsync_verifies_more_than_synchs() {
 
 #[test]
 fn synchs_deterministic_replay() {
-    let a = run_hs(5, 2, HsVariant::SyncHotStuff, |_| HsFault::Honest, 300);
-    let b = run_hs(5, 2, HsVariant::SyncHotStuff, |_| HsFault::Honest, 300);
+    let a = run_hs(5, 2, HsVariant::SyncHotStuff, |_| FaultMode::Honest, 300);
+    let b = run_hs(5, 2, HsVariant::SyncHotStuff, |_| FaultMode::Honest, 300);
     for id in 0..5 {
         assert_eq!(a.actor(id).committed(), b.actor(id).committed());
         assert_eq!(a.meter(id).total_mj(), b.meter(id).total_mj());
@@ -135,10 +134,10 @@ fn synchs_deterministic_replay() {
 }
 
 fn run_tb(n: usize, millis: u64) -> SimNet<TbNode> {
-    run_tb_faulty(n, millis, |_| TbFault::Honest)
+    run_tb_faulty(n, millis, |_| FaultMode::Honest)
 }
 
-fn run_tb_faulty(n: usize, millis: u64, faults: impl Fn(NodeId) -> TbFault) -> SimNet<TbNode> {
+fn run_tb_faulty(n: usize, millis: u64, faults: impl Fn(NodeId) -> FaultMode) -> SimNet<TbNode> {
     // Star topology over the expensive medium (4G), as in §5.1.
     let mut cfg = NetConfig::ble(star(n, HUB), 9);
     cfg.channel = ChannelCost::PerByte { medium: Medium::FourG };
@@ -177,9 +176,9 @@ fn trusted_baseline_spokes_pay_expensive_medium() {
 fn trusted_baseline_crashed_spoke_repairs_and_rejoins() {
     let fault = |id: NodeId| {
         if id == 3 {
-            TbFault::Crash { at_us: 50_000, restart_at_us: Some(250_000) }
+            FaultMode::Crash { at_us: 50_000, restart_at_us: Some(250_000) }
         } else {
-            TbFault::Honest
+            FaultMode::Honest
         }
     };
     let net = run_tb_faulty(6, 500, fault);
@@ -202,9 +201,9 @@ fn trusted_baseline_storm_spoke_inflates_traffic_without_divergence() {
     let honest = run_tb(6, 400);
     let stormy = run_tb_faulty(6, 400, |id| {
         if id == 2 {
-            TbFault::Storm { repeats: 3 }
+            FaultMode::Storm { from_view: 1, repeats: 3 }
         } else {
-            TbFault::Honest
+            FaultMode::Honest
         }
     });
     assert!(
@@ -222,9 +221,9 @@ fn trusted_baseline_storm_spoke_inflates_traffic_without_divergence() {
 fn trusted_baseline_silent_spoke_does_not_stop_the_rest() {
     let net = run_tb_faulty(6, 400, |id| {
         if id == 4 {
-            TbFault::Silent { from_us: 0 }
+            FaultMode::Silent { from_view: 1 }
         } else {
-            TbFault::Honest
+            FaultMode::Honest
         }
     });
     let hub_height = net.actor(HUB).committed_height();

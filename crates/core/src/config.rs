@@ -177,6 +177,20 @@ impl FaultMode {
             _ => None,
         }
     }
+
+    /// Whether a node with this fault is excused from a scenario's
+    /// commit targets: silent and equivocating nodes contribute nothing
+    /// by design, and a node that crashes without a restart never
+    /// catches up. A withholder, a flooder, or a crash-with-restart node
+    /// still runs the protocol and must reach the targets.
+    pub fn is_excused(&self) -> bool {
+        matches!(
+            self,
+            FaultMode::Silent { .. }
+                | FaultMode::Equivocate { .. }
+                | FaultMode::Crash { restart_at_us: None, .. }
+        )
+    }
 }
 
 /// Static protocol configuration shared by all replicas.

@@ -1,18 +1,16 @@
 //! Fault plans — declarative fault injection for scenarios.
 //!
 //! A [`FaultPlan`] names every adversarial behaviour a scenario can
-//! inject and compiles it down to the per-protocol knobs: node-level
-//! [`FaultMode`]/[`HsFault`]/[`TbFault`] assignments plus a link-level
-//! [`LinkFaults`] schedule the network runtime enforces at transmit
-//! time. [`FaultSpec`] is the sweepable axis on top: one tag per
+//! inject and compiles it down to one node-level [`FaultMode`] per node
+//! (translated for the view-less trusted baseline by
+//! [`FaultPlan::tb_fault`]) plus a link-level [`LinkFaults`] schedule
+//! the network runtime enforces at transmit time. [`FaultSpec`] is the sweepable axis on top: one tag per
 //! canonical scenario (withholding, selective drop, storm,
 //! partition-heal, churn, crash-recovery, …) that expands to a concrete
 //! plan given the cluster size and the synchrony bound Δ.
 
 use std::collections::BTreeMap;
 
-use eesmr_baselines::trusted::TbFault;
-use eesmr_baselines::HsFault;
 use eesmr_core::FaultMode;
 use eesmr_net::{LinkDrop, LinkFaults, NodeId, Partition};
 
@@ -133,27 +131,16 @@ impl FaultPlan {
             || self.crash_at.contains_key(&node)
     }
 
-    /// Whether `node` is excused from the scenario's commit targets.
-    /// Silent and equivocating nodes contribute nothing by design, and a
-    /// node that crashes without a restart can never catch up — but a
-    /// withholder, a flooder, or a crash-with-restart node still runs
-    /// the protocol and **must** reach the targets like everyone else.
+    /// Whether `node` is excused from the scenario's commit targets
+    /// ([`FaultMode::is_excused`] of its [`Self::mode`]).
     pub fn is_excused(&self, node: NodeId) -> bool {
-        self.silent_from_view.contains_key(&node)
-            || self.equivocate_in_view.contains_key(&node)
-            || matches!(self.crash_at.get(&node), Some((_, None)))
+        self.mode(node).is_excused()
     }
 
     /// [`Self::is_excused`], evaluated against the trusted baseline's
-    /// translation of the plan ([`Self::tb_fault`]): silence *and*
-    /// withholding both become a permanently silent spoke there (the
-    /// baseline has no views and no relaying), and a crash without a
-    /// restart never rejoins — none of those can reach a commit target.
+    /// translation of the plan ([`Self::tb_fault`]).
     pub fn tb_is_excused(&self, node: NodeId) -> bool {
-        matches!(
-            self.tb_fault(node),
-            TbFault::Silent { .. } | TbFault::Crash { restart_at_us: None, .. }
-        )
+        self.tb_fault(node).is_excused()
     }
 
     /// Number of faulty nodes (link-level faults afflict links, not
@@ -189,10 +176,11 @@ impl FaultPlan {
         links.max(crashes)
     }
 
-    /// The EESMR fault mode for `node`. A node in several maps takes the
+    /// The fault mode for `node` under the view-based protocols (EESMR,
+    /// Sync HotStuff, OptSync). A node in several maps takes the
     /// strongest behaviour: silence > equivocation > crash > withholding
     /// > storming.
-    pub fn eesmr_mode(&self, node: NodeId) -> FaultMode {
+    pub fn mode(&self, node: NodeId) -> FaultMode {
         if let Some(&v) = self.silent_from_view.get(&node) {
             FaultMode::Silent { from_view: v }
         } else if let Some(&v) = self.equivocate_in_view.get(&node) {
@@ -208,39 +196,23 @@ impl FaultPlan {
         }
     }
 
-    /// The Sync HotStuff fault mode for `node` (same precedence as
-    /// [`Self::eesmr_mode`]).
-    pub fn hs_mode(&self, node: NodeId) -> HsFault {
-        if let Some(&v) = self.silent_from_view.get(&node) {
-            HsFault::Silent { from_view: v }
-        } else if let Some(&v) = self.equivocate_in_view.get(&node) {
-            HsFault::Equivocate { in_view: v }
-        } else if let Some(&(at_us, restart_at_us)) = self.crash_at.get(&node) {
-            HsFault::Crash { at_us, restart_at_us }
-        } else if let Some(&v) = self.withhold_from_view.get(&node) {
-            HsFault::Withhold { from_view: v }
-        } else if let Some(&(v, repeats)) = self.storm_from_view.get(&node) {
-            HsFault::Storm { from_view: v, repeats }
-        } else {
-            HsFault::Honest
-        }
-    }
-
-    /// The trusted-baseline fault for `node`. The baseline has no views,
-    /// so view-keyed behaviours translate to their time-domain analogue:
-    /// silence and withholding both become a spoke that stops
-    /// contributing; equivocation has no meaning against a hub that
-    /// signs the only chain and maps to honest.
-    pub fn tb_fault(&self, node: NodeId) -> TbFault {
+    /// The trusted-baseline fault for `node`. The baseline has no views
+    /// and judges every fault at its constant view 1, so view-keyed
+    /// behaviours start there: silence and withholding both become a
+    /// spoke that never contributes (the hub reduces them to the same
+    /// thing), storms flood from the start, and equivocation has no
+    /// meaning against a hub that signs the only chain and maps to
+    /// honest.
+    pub fn tb_fault(&self, node: NodeId) -> FaultMode {
         if self.silent_from_view.contains_key(&node) || self.withhold_from_view.contains_key(&node)
         {
-            TbFault::Silent { from_us: 0 }
+            FaultMode::Silent { from_view: 1 }
         } else if let Some(&(at_us, restart_at_us)) = self.crash_at.get(&node) {
-            TbFault::Crash { at_us, restart_at_us }
+            FaultMode::Crash { at_us, restart_at_us }
         } else if let Some(&(_, repeats)) = self.storm_from_view.get(&node) {
-            TbFault::Storm { repeats }
+            FaultMode::Storm { from_view: 1, repeats }
         } else {
-            TbFault::Honest
+            FaultMode::Honest
         }
     }
 }
@@ -360,16 +332,15 @@ mod tests {
         let p = FaultPlan::silent_leader();
         assert!(p.is_faulty(0));
         assert!(!p.is_faulty(1));
-        assert_eq!(p.eesmr_mode(0), FaultMode::Silent { from_view: 1 });
-        assert_eq!(p.eesmr_mode(1), FaultMode::Honest);
-        assert_eq!(p.hs_mode(0), HsFault::Silent { from_view: 1 });
+        assert_eq!(p.mode(0), FaultMode::Silent { from_view: 1 });
+        assert_eq!(p.mode(1), FaultMode::Honest);
     }
 
     #[test]
     fn equivocator_maps_to_both_protocols() {
         let p = FaultPlan::equivocating_leader();
-        assert_eq!(p.eesmr_mode(0), FaultMode::Equivocate { in_view: 1 });
-        assert_eq!(p.hs_mode(0), HsFault::Equivocate { in_view: 1 });
+        assert_eq!(p.mode(0), FaultMode::Equivocate { in_view: 1 });
+        assert_eq!(p.tb_fault(0), FaultMode::Honest, "the hub signs the only chain");
         assert_eq!(p.count(), 1);
     }
 
@@ -377,8 +348,8 @@ mod tests {
     fn silent_nodes_and_chaining() {
         let p = FaultPlan::silent_nodes([3, 4]).with_equivocator(0, 2).with_silent(5, 7);
         assert_eq!(p.count(), 4);
-        assert_eq!(p.eesmr_mode(5), FaultMode::Silent { from_view: 7 });
-        assert_eq!(p.eesmr_mode(0), FaultMode::Equivocate { in_view: 2 });
+        assert_eq!(p.mode(5), FaultMode::Silent { from_view: 7 });
+        assert_eq!(p.mode(0), FaultMode::Equivocate { in_view: 2 });
     }
 
     #[test]
@@ -386,7 +357,7 @@ mod tests {
         let p = FaultPlan::silent_nodes([1]).with_equivocator(1, 1);
         assert_eq!(p.count(), 1);
         // Silence wins (checked first) — a silent node cannot equivocate.
-        assert_eq!(p.eesmr_mode(1), FaultMode::Silent { from_view: 1 });
+        assert_eq!(p.mode(1), FaultMode::Silent { from_view: 1 });
     }
 
     #[test]
@@ -397,15 +368,12 @@ mod tests {
             Some(50_000),
         );
         assert_eq!(p.count(), 3);
-        assert_eq!(p.eesmr_mode(2), FaultMode::Withhold { from_view: 3 });
-        assert_eq!(p.hs_mode(4), HsFault::Storm { from_view: 1, repeats: 5 });
-        assert_eq!(
-            p.eesmr_mode(5),
-            FaultMode::Crash { at_us: 10_000, restart_at_us: Some(50_000) }
-        );
-        assert_eq!(p.tb_fault(5), TbFault::Crash { at_us: 10_000, restart_at_us: Some(50_000) });
-        assert_eq!(p.tb_fault(2), TbFault::Silent { from_us: 0 });
-        assert_eq!(p.tb_fault(4), TbFault::Storm { repeats: 5 });
+        assert_eq!(p.mode(2), FaultMode::Withhold { from_view: 3 });
+        assert_eq!(p.mode(4), FaultMode::Storm { from_view: 1, repeats: 5 });
+        assert_eq!(p.mode(5), FaultMode::Crash { at_us: 10_000, restart_at_us: Some(50_000) });
+        assert_eq!(p.tb_fault(5), FaultMode::Crash { at_us: 10_000, restart_at_us: Some(50_000) });
+        assert_eq!(p.tb_fault(2), FaultMode::Silent { from_view: 1 });
+        assert_eq!(p.tb_fault(4), FaultMode::Storm { from_view: 1, repeats: 5 });
     }
 
     #[test]
@@ -421,6 +389,19 @@ mod tests {
         assert!(!p.is_excused(3), "a restarted node must catch up");
         assert!(p.is_excused(4), "a dead node never commits again");
         assert!(p.is_faulty(4));
+        // One rule for every protocol: the mode's own excuse, and the
+        // trusted translation's, where withholding is silence.
+        for node in 0..=4 {
+            assert_eq!(p.is_excused(node), p.mode(node).is_excused(), "node {node}");
+            assert_eq!(p.tb_is_excused(node), p.tb_fault(node).is_excused(), "node {node}");
+        }
+        assert!(p.tb_is_excused(1), "a withholding spoke contributes nothing");
+        assert!(!p.tb_is_excused(2) && !p.tb_is_excused(3) && p.tb_is_excused(4));
+        assert!(!FaultMode::Honest.is_excused());
+        assert!(!FaultMode::Withhold { from_view: 1 }.is_excused());
+        assert!(FaultMode::Equivocate { in_view: 1 }.is_excused());
+        let restarts = FaultMode::Crash { at_us: 1, restart_at_us: Some(2) };
+        assert!(!restarts.is_excused());
     }
 
     #[test]

@@ -20,12 +20,12 @@
 #![warn(missing_docs)]
 
 pub mod faults;
+pub mod harness;
 pub mod proc;
 pub mod report;
 pub mod scenario;
 
 pub use faults::{FaultPlan, FaultSpec};
-pub use proc::ProcCell;
 pub use report::{NodeEnergy, NodeReport, RunReport, TxLatencyStats};
 pub use scenario::{CellKey, Protocol, Scenario, StopWhen};
 

@@ -23,13 +23,9 @@ use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use eesmr_baselines::sync_hotstuff::{HsConfig, HsVariant};
-use eesmr_baselines::trusted::HUB;
-use eesmr_core::Config;
 use eesmr_crypto::SigScheme;
-use eesmr_hypergraph::topology::{ring_kcast, star};
 use eesmr_net::proc::{alloc_addrs, ChildOpts, ChildProc, Coordinator, ProcTransport};
-use eesmr_net::{CodecError, NetConfig, NetStats, Reader, SimDuration};
+use eesmr_net::{CodecError, NetStats, Reader, SimDuration};
 use eesmr_trace::hist::LogHistogram;
 
 use crate::report::{NodeEnergy, NodeReport, RunReport};
@@ -46,43 +42,6 @@ const RUN_TIMEOUT: Duration = Duration::from_secs(120);
 /// How long the coordinator retries control connections while children
 /// bind their listeners.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// The scenario cell a child must rebuild, as carried by its command
-/// line: every knob that shapes replica construction, plus the padded Δ
-/// so the whole mesh agrees on timer spacing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProcCell {
-    /// Protocol under test.
-    pub protocol: Protocol,
-    /// Node count.
-    pub n: usize,
-    /// Ring k-cast degree (energy pricing; the mesh itself is full).
-    pub k: usize,
-    /// Payload bytes per block.
-    pub payload_bytes: usize,
-    /// Run seed (keys).
-    pub seed: u64,
-    /// Signature scheme.
-    pub scheme: SigScheme,
-    /// Synthetic offered load.
-    pub offered_load: usize,
-    /// Forward-batching threshold.
-    pub forward_batch: usize,
-    /// Streaming pacing.
-    pub streaming: bool,
-    /// EESMR crash-only variant.
-    pub crash_only: bool,
-    /// EESMR §3.5 equivocation speedup.
-    pub opt_equivocation_speedup: bool,
-    /// EESMR §5.6 lock-only status.
-    pub opt_lock_only_status: bool,
-    /// EESMR §3.5 checkpoint interval.
-    pub checkpoint_interval: Option<u64>,
-    /// Explicit protocol fault bound.
-    pub fault_bound: Option<usize>,
-    /// The (padded) Δ the child runs timers with, µs.
-    pub delta_us: u64,
-}
 
 /// `--protocol` flag values, paired with [`parse_protocol`].
 pub fn protocol_flag(p: Protocol) -> &'static str {
@@ -105,60 +64,11 @@ pub fn parse_protocol(s: &str) -> Option<Protocol> {
     }
 }
 
-impl ProcCell {
-    /// Renders the cell as `proc_replica` command-line arguments
-    /// (everything except the per-child `--node-id`/`--listen`/`--peers`
-    /// identity flags).
-    pub fn args(&self) -> Vec<String> {
-        let mut args = vec![
-            "--protocol".into(),
-            protocol_flag(self.protocol).into(),
-            "--n".into(),
-            self.n.to_string(),
-            "--k".into(),
-            self.k.to_string(),
-            "--payload".into(),
-            self.payload_bytes.to_string(),
-            "--seed".into(),
-            self.seed.to_string(),
-            "--scheme".into(),
-            self.scheme.wire_tag().to_string(),
-            "--offered-load".into(),
-            self.offered_load.to_string(),
-            "--forward-batch".into(),
-            self.forward_batch.to_string(),
-            "--delta-us".into(),
-            self.delta_us.to_string(),
-        ];
-        if self.streaming {
-            args.push("--streaming".into());
-        }
-        if self.crash_only {
-            args.push("--crash-only".into());
-        }
-        if self.opt_equivocation_speedup {
-            args.push("--opt-equivocation-speedup".into());
-        }
-        if self.opt_lock_only_status {
-            args.push("--opt-lock-only-status".into());
-        }
-        if let Some(interval) = self.checkpoint_interval {
-            args.push("--checkpoint".into());
-            args.push(interval.to_string());
-        }
-        if let Some(f) = self.fault_bound {
-            args.push("--fault-bound".into());
-            args.push(f.to_string());
-        }
-        args
-    }
-}
-
-/// Parses a `proc_replica` command line (the [`ProcCell::args`] flags
-/// plus the per-child identity flags) back into the cell and the
-/// transport options. Returns `None` on any unknown flag, missing
-/// required flag, or malformed value.
-pub fn parse_child_args(args: &[String]) -> Option<(ProcCell, ChildOpts)> {
+/// Parses a `proc_replica` command line (the `Scenario::child_args`
+/// flags plus the per-child identity flags) back into the scenario, the
+/// Δ to run timers with, and the transport options. Returns `None` on
+/// any unknown flag, missing required flag, or malformed value.
+pub fn parse_child_args(args: &[String]) -> Option<(Scenario, SimDuration, ChildOpts)> {
     let mut protocol = None;
     let mut n = None;
     let mut k = None;
@@ -211,26 +121,22 @@ pub fn parse_child_args(args: &[String]) -> Option<(ProcCell, ChildOpts)> {
             }
         }
     }
-    let cell = ProcCell {
-        protocol: protocol?,
-        n: n?,
-        k: k?,
-        payload_bytes: payload?,
-        seed: seed?,
-        scheme: scheme?,
-        offered_load,
-        forward_batch,
-        streaming,
-        crash_only,
-        opt_equivocation_speedup,
-        opt_lock_only_status,
-        checkpoint_interval,
-        fault_bound,
-        delta_us: delta_us?,
-    };
+    let (n, k) = (n?, k?);
+    if !(1..n).contains(&k) {
+        return None; // not a ring degree `Scenario::new` accepts
+    }
+    let mut scenario = Scenario::new(protocol?, n, k).payload(payload?).seed(seed?).scheme(scheme?);
+    scenario.offered_load = offered_load;
+    scenario.forward_batch = forward_batch;
+    scenario.streaming = streaming;
+    scenario.crash_only = crash_only;
+    scenario.opt_equivocation_speedup = opt_equivocation_speedup;
+    scenario.opt_lock_only_status = opt_lock_only_status;
+    scenario.checkpoint_interval = checkpoint_interval;
+    scenario.fault_bound = fault_bound;
     let opts =
         ChildOpts { node_id: node_id?, transport: transport?, listen: listen?, peers: peers? };
-    Some((cell, opts))
+    Some((scenario, SimDuration::from_micros(delta_us?), opts))
 }
 
 /// Report-blob schema magic + version ("EESMR Proc Report, v1").
@@ -424,23 +330,52 @@ fn unsupported(what: &str) -> io::Error {
 }
 
 impl Scenario {
-    /// The `(Δ, f)` this scenario's process run uses: the simulated
-    /// topology's Δ padded to [`DELTA_PAD_US`] for wall-clock timer
-    /// robustness, and the same protocol fault bound `run` would use.
-    fn proc_delta_f(&self) -> (SimDuration, usize) {
-        let net_cfg = match self.protocol {
-            Protocol::TrustedBaseline => NetConfig::ble(star(self.n, HUB), self.seed),
-            _ => NetConfig::ble(ring_kcast(self.n, self.k), self.seed),
-        };
-        let delta = net_cfg.delta().max(SimDuration::from_micros(DELTA_PAD_US));
-        let f = match self.protocol {
-            Protocol::Eesmr => self.fault_bound.unwrap_or(Config::new(self.n, delta).f),
-            Protocol::SyncHotStuff | Protocol::OptSync => {
-                self.fault_bound.unwrap_or(HsConfig::new(self.n, delta, HsVariant::SyncHotStuff).f)
-            }
-            Protocol::TrustedBaseline => 0,
-        };
-        (delta, f)
+    /// Renders every knob that shapes replica construction, plus the
+    /// (padded) Δ the whole mesh runs timers with, as `proc_replica`
+    /// command-line arguments (everything except the per-child
+    /// `--node-id`/`--transport`/`--listen`/`--peers` identity flags).
+    fn child_args(&self, delta: SimDuration) -> Vec<String> {
+        let mut args = vec![
+            "--protocol".into(),
+            protocol_flag(self.protocol).into(),
+            "--n".into(),
+            self.n.to_string(),
+            "--k".into(),
+            self.k.to_string(),
+            "--payload".into(),
+            self.payload_bytes.to_string(),
+            "--seed".into(),
+            self.seed.to_string(),
+            "--scheme".into(),
+            self.scheme.wire_tag().to_string(),
+            "--offered-load".into(),
+            self.offered_load.to_string(),
+            "--forward-batch".into(),
+            self.forward_batch.to_string(),
+            "--delta-us".into(),
+            delta.as_micros().to_string(),
+        ];
+        if self.streaming {
+            args.push("--streaming".into());
+        }
+        if self.crash_only {
+            args.push("--crash-only".into());
+        }
+        if self.opt_equivocation_speedup {
+            args.push("--opt-equivocation-speedup".into());
+        }
+        if self.opt_lock_only_status {
+            args.push("--opt-lock-only-status".into());
+        }
+        if let Some(interval) = self.checkpoint_interval {
+            args.push("--checkpoint".into());
+            args.push(interval.to_string());
+        }
+        if let Some(f) = self.fault_bound {
+            args.push("--fault-bound".into());
+            args.push(f.to_string());
+        }
+        args
     }
 
     /// Runs this scenario's happy-path cell as real OS processes: one
@@ -475,31 +410,18 @@ impl Scenario {
             ));
         }
 
-        let (delta, f) = self.proc_delta_f();
-        let cell = ProcCell {
-            protocol: self.protocol,
-            n: self.n,
-            k: self.k,
-            payload_bytes: self.payload_bytes,
-            seed: self.seed,
-            scheme: self.scheme,
-            offered_load: self.offered_load,
-            forward_batch: self.forward_batch,
-            streaming: self.streaming,
-            crash_only: self.crash_only,
-            opt_equivocation_speedup: self.opt_equivocation_speedup,
-            opt_lock_only_status: self.opt_lock_only_status,
-            checkpoint_interval: self.checkpoint_interval,
-            fault_bound: self.fault_bound,
-            delta_us: delta.as_micros(),
-        };
+        // Children run timers on the simulated topology's Δ padded to
+        // DELTA_PAD_US, under the protocol fault bound `run` would use.
+        let delta = self.net_config().delta().max(SimDuration::from_micros(DELTA_PAD_US));
+        let f = self.protocol_config(delta).f();
+        let child_args = self.child_args(delta);
         let addrs = alloc_addrs(transport, self.n)?;
         let mut children = Vec::with_capacity(self.n);
         for id in 0..self.n {
             let peers: Vec<(u32, String)> =
                 (0..self.n).filter(|p| *p != id).map(|p| (p as u32, addrs[p].clone())).collect();
             let mut cmd = std::process::Command::new(binary);
-            cmd.args(cell.args())
+            cmd.args(&child_args)
                 .arg("--node-id")
                 .arg(id.to_string())
                 .arg("--transport")
@@ -558,37 +480,42 @@ mod tests {
 
     #[test]
     fn cell_args_roundtrip_through_the_child_parser() {
-        let cell = ProcCell {
-            protocol: Protocol::OptSync,
-            n: 7,
-            k: 3,
-            payload_bytes: 64,
-            seed: 9,
-            scheme: SigScheme::Hmac,
-            offered_load: 2,
-            forward_batch: 4,
-            streaming: true,
-            crash_only: false,
-            opt_equivocation_speedup: true,
-            opt_lock_only_status: false,
-            checkpoint_interval: Some(8),
-            fault_bound: Some(2),
-            delta_us: 30_000,
-        };
-        let mut args = cell.args();
+        let mut scenario = Scenario::new(Protocol::OptSync, 7, 3)
+            .payload(64)
+            .seed(9)
+            .scheme(SigScheme::Hmac)
+            .offered_load(2)
+            .forward_batch(4)
+            .streaming()
+            .checkpoint_every(8)
+            .fault_bound(2);
+        scenario.opt_equivocation_speedup = true;
+        let delta = SimDuration::from_micros(30_000);
+        let mut args = scenario.child_args(delta);
         args.extend(
             ["--node-id", "3", "--transport", "uds", "--listen", "/tmp/x.sock", "--peers", "0@a"]
                 .map(String::from),
         );
-        let (back, opts) = parse_child_args(&args).expect("parses");
-        assert_eq!(back, cell);
+        let (back, back_delta, opts) = parse_child_args(&args).expect("parses");
+        assert_eq!(back.child_args(back_delta), scenario.child_args(delta));
+        assert_eq!(back_delta, delta);
+        assert_eq!(
+            (back.protocol, back.n, back.k, back.payload_bytes, back.seed, back.scheme),
+            (Protocol::OptSync, 7, 3, 64, 9, SigScheme::Hmac)
+        );
+        assert!(back.streaming && back.opt_equivocation_speedup && !back.opt_lock_only_status);
+        assert_eq!((back.checkpoint_interval, back.fault_bound), (Some(8), Some(2)));
         assert_eq!(opts.node_id, 3);
         assert_eq!(opts.transport, ProcTransport::Uds);
         assert_eq!(opts.listen, "/tmp/x.sock");
         assert_eq!(opts.peers, vec![(0, "a".to_string())]);
-        // Unknown flags and missing values are rejected, not ignored.
+        // Unknown flags, missing values, and impossible rings are
+        // rejected, not ignored.
         assert!(parse_child_args(&["--bogus".into(), "1".into()]).is_none());
         assert!(parse_child_args(&["--n".into()]).is_none());
+        let mut bad_ring = args.clone();
+        bad_ring[5] = "7".into(); // --k 7 at n = 7
+        assert!(parse_child_args(&bad_ring).is_none());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Run reports: what a scenario measured.
 
+use eesmr_baselines::SmrStatus;
 use eesmr_energy::{EnergyAttribution, EnergyCategory, EnergyClass, EnergyMeter, N_ENERGY_CLASS};
 use eesmr_net::{MetricsSet, NetStats, NodeId, SimDuration};
 use eesmr_trace::hist::LogHistogram;
@@ -93,23 +94,50 @@ pub struct NodeReport {
     pub commit_txs: Vec<u32>,
 }
 
+impl NodeReport {
+    /// The report of node `id` at the end of a run, read from its
+    /// replica (of any protocol) and its energy meter.
+    pub fn from_node(
+        id: NodeId,
+        node: &impl SmrStatus,
+        meter: &EnergyMeter,
+        faulty: bool,
+        is_hub: bool,
+    ) -> Self {
+        let log = node.committed_log();
+        let prefix = &log[..log.len().min(COMMIT_LOG_CAP)];
+        let metrics = node.metrics();
+        NodeReport {
+            id,
+            faulty,
+            is_hub,
+            energy: NodeEnergy::from_meter(meter),
+            committed_height: node.committed_block_height(),
+            blocks_committed: metrics.blocks_committed,
+            view_changes: metrics.view_changes,
+            signs: meter.count(EnergyCategory::Sign),
+            verifies: meter.count(EnergyCategory::Verify),
+            mean_commit_latency: metrics.mean_commit_latency(),
+            tx_injected: metrics.tx_injected,
+            tx_forwarded: metrics.tx_forwarded,
+            forward_retries: metrics.forward_retries,
+            peak_backlog: node.peak_backlog() as u64,
+            mean_batch_fill_pct: metrics.mean_batch_fill_pct(),
+            tx_latency_hist: node.tx_latencies().clone(),
+            commit_fps: prefix.iter().map(eesmr_core::block::fingerprint).collect(),
+            // 0 when a block body is no longer stored locally.
+            commit_txs: prefix
+                .iter()
+                .map(|id| node.block(id).map_or(0, |b| b.payload.len() as u32))
+                .collect(),
+        }
+    }
+}
+
 /// Cap on the per-node committed-log prefix a [`NodeReport`] carries
 /// (`commit_fps` / `commit_txs`). Long soak runs keep reports bounded;
 /// conformance runs stop well under the cap.
 pub const COMMIT_LOG_CAP: usize = 4096;
-
-/// Builds the capped committed-log prefix for a [`NodeReport`] from a
-/// replica's committed block ids plus a block lookup (commands per
-/// block; 0 when a block body is no longer stored locally).
-pub fn commit_log_prefix(
-    log: &[eesmr_crypto::Digest],
-    commands_of: impl Fn(&eesmr_crypto::Digest) -> Option<u32>,
-) -> (Vec<u64>, Vec<u32>) {
-    let prefix = &log[..log.len().min(COMMIT_LOG_CAP)];
-    let fps = prefix.iter().map(eesmr_core::block::fingerprint).collect();
-    let txs = prefix.iter().map(|id| commands_of(id).unwrap_or(0)).collect();
-    (fps, txs)
-}
 
 /// End-to-end commit-latency statistics over a run's workload
 /// transactions (all correct nodes pooled). Percentiles use the

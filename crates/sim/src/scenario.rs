@@ -8,23 +8,19 @@
 //! protocol metrics — the raw material for every figure in the paper's
 //! evaluation.
 
-use std::sync::Arc;
-
-use eesmr_baselines::sync_hotstuff::{build_hs_replicas, HsConfig, HsPacing, HsVariant};
-use eesmr_baselines::trusted::{build_tb_nodes, TbConfig, HUB};
-use eesmr_core::{build_replicas, BatchPolicy, Config, Pacing};
-use eesmr_crypto::{KeyStore, SigScheme};
-use eesmr_energy::Medium;
-use eesmr_hypergraph::topology::{ring_kcast, star};
+use eesmr_baselines::SmrStatus;
+use eesmr_core::BatchPolicy;
+use eesmr_crypto::SigScheme;
 use eesmr_net::{
-    ChannelCost, MetricsConfig, NetConfig, SchedulerKind, ShardedNet, SimDuration, SimTime,
-    TraceClass, TraceLevel, TraceSet,
+    Actor, MetricsConfig, NetConfig, NodeId, SchedulerKind, ShardedNet, SimDuration, SimTime,
+    TraceClass, TraceLevel, TraceSet, WireCodec,
 };
 use eesmr_trace::path::CommitPath;
 use eesmr_workload::Workload;
 
 use crate::faults::{FaultPlan, FaultSpec};
-use crate::report::{NodeEnergy, NodeReport, RunReport};
+use crate::harness::{Cluster, ClusterRun};
+use crate::report::{NodeReport, RunReport};
 
 /// The protocols the harness can drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -441,12 +437,12 @@ impl Scenario {
     /// merged trace; when `EESMR_TRACE_OUT` names a file, the trace is
     /// also exported there as Perfetto JSON.
     pub fn run_traced(&self) -> (RunReport, TraceSet) {
-        let (mut report, traces) = match self.protocol {
-            Protocol::Eesmr => self.run_eesmr(),
-            Protocol::SyncHotStuff => self.run_hs(HsVariant::SyncHotStuff),
-            Protocol::OptSync => self.run_hs(HsVariant::OptSync),
-            Protocol::TrustedBaseline => self.run_trusted(),
-        };
+        let mut net_cfg = self.net_config();
+        let delta = net_cfg.delta();
+        let plan = self.effective_faults(delta);
+        net_cfg.link_faults = plan.link_faults();
+        let (mut report, traces) =
+            self.with_cluster(delta, &plan, SimRun { scenario: self, net_cfg, plan: &plan });
         if self.trace.enables(TraceClass::Commit) {
             report.commit_path = CommitPath::reconstruct(&traces.merged());
             if let Ok(path) = std::env::var(ENV_TRACE_OUT) {
@@ -463,300 +459,6 @@ impl Scenario {
             }
         }
         (report, traces)
-    }
-
-    fn deadline_time(&self) -> SimTime {
-        SimTime::ZERO + self.deadline
-    }
-
-    fn run_eesmr(&self) -> (RunReport, TraceSet) {
-        let mut net_cfg = NetConfig::ble(ring_kcast(self.n, self.k), self.seed);
-        net_cfg.scheduler = self.scheduler;
-        net_cfg.trace = self.trace;
-        net_cfg.metrics = self.metrics;
-        let delta = net_cfg.delta();
-        let plan = self.effective_faults(delta);
-        net_cfg.link_faults = plan.link_faults();
-        let mut config = Config::new(self.n, delta);
-        config.batch_policy = self.effective_batch_policy();
-        config.offered_load = self.offered_load;
-        config.forward_batch = self.forward_batch;
-        if let Some(f) = self.fault_bound {
-            config.f = f;
-        }
-        config.payload_bytes = self.payload_bytes;
-        config.crash_only = self.crash_only;
-        config.opt_equivocation_speedup = self.opt_equivocation_speedup;
-        config.opt_lock_only_status = self.opt_lock_only_status;
-        config.checkpoint_interval = self.checkpoint_interval;
-        if self.streaming {
-            config.pacing = Pacing::Streaming { max_outstanding: 8 };
-        }
-        let f = config.f;
-        let pki = Arc::new(KeyStore::generate(self.n, self.scheme, self.seed));
-        let mut replicas = build_replicas(&config, &pki, |id| plan.eesmr_mode(id));
-        if let Some(workload) = &self.workload {
-            for (i, replica) in replicas.iter_mut().enumerate() {
-                let source = workload.node_source(i as u32, i, self.n, self.seed);
-                replica.attach_workload(Box::new(source));
-            }
-        }
-        let mut net = ShardedNet::new(net_cfg, replicas, self.shards);
-
-        match self.stop {
-            StopWhen::Elapsed(d) => net.run_until(SimTime::ZERO + d),
-            StopWhen::Blocks(b) => {
-                net.run_until_all(self.deadline_time(), |id, r| {
-                    plan.is_excused(id) || r.committed_height() >= b
-                });
-            }
-            StopWhen::ViewReached(v) => {
-                net.run_until_all(self.deadline_time(), |id, r| {
-                    plan.is_excused(id) || (r.current_view() >= v && r.current_round() >= 3)
-                });
-            }
-        }
-
-        let traces = net.take_traces();
-        let metrics = net.take_metrics();
-        let nodes = (0..self.n as u32)
-            .map(|id| {
-                let r = net.actor(id);
-                let meter = net.meter(id);
-                let (commit_fps, commit_txs) =
-                    crate::report::commit_log_prefix(r.committed(), |d| {
-                        r.block(d).map(|b| b.payload.len() as u32)
-                    });
-                NodeReport {
-                    id,
-                    faulty: plan.is_faulty(id),
-                    is_hub: false,
-                    energy: NodeEnergy::from_meter(meter),
-                    committed_height: r.committed_height(),
-                    blocks_committed: r.metrics().blocks_committed,
-                    view_changes: r.metrics().view_changes,
-                    signs: meter.count(eesmr_energy::EnergyCategory::Sign),
-                    verifies: meter.count(eesmr_energy::EnergyCategory::Verify),
-                    mean_commit_latency: r.metrics().mean_commit_latency(),
-                    tx_injected: r.metrics().tx_injected,
-                    tx_forwarded: r.metrics().tx_forwarded,
-                    forward_retries: r.metrics().forward_retries,
-                    peak_backlog: r.peak_backlog() as u64,
-                    mean_batch_fill_pct: r.metrics().mean_batch_fill_pct(),
-                    tx_latency_hist: r.tx_latencies().clone(),
-                    commit_fps,
-                    commit_txs,
-                }
-            })
-            .collect();
-        let mut report = self.report("EESMR", f, delta, &net.stats(), nodes, net.now());
-        self.attach_observability(&mut report, metrics, &traces, |id| {
-            net.meter(id).attribution().clone()
-        });
-        (report, traces)
-    }
-
-    fn run_hs(&self, variant: HsVariant) -> (RunReport, TraceSet) {
-        let mut net_cfg = NetConfig::ble(ring_kcast(self.n, self.k), self.seed);
-        net_cfg.scheduler = self.scheduler;
-        net_cfg.trace = self.trace;
-        net_cfg.metrics = self.metrics;
-        let delta = net_cfg.delta();
-        let plan = self.effective_faults(delta);
-        net_cfg.link_faults = plan.link_faults();
-        let mut config = HsConfig::new(self.n, delta, variant);
-        config.batch_policy = self.effective_batch_policy();
-        config.offered_load = self.offered_load;
-        config.forward_batch = self.forward_batch;
-        if let Some(f) = self.fault_bound {
-            config.f = f;
-        }
-        config.payload_bytes = self.payload_bytes;
-        if self.streaming {
-            config.pacing = HsPacing::Streaming;
-        }
-        let f = config.f;
-        let pki = Arc::new(KeyStore::generate(self.n, self.scheme, self.seed));
-        let mut replicas = build_hs_replicas(&config, &pki, |id| plan.hs_mode(id));
-        if let Some(workload) = &self.workload {
-            for (i, replica) in replicas.iter_mut().enumerate() {
-                let source = workload.node_source(i as u32, i, self.n, self.seed);
-                replica.attach_workload(Box::new(source));
-            }
-        }
-        let mut net = ShardedNet::new(net_cfg, replicas, self.shards);
-
-        match self.stop {
-            StopWhen::Elapsed(d) => net.run_until(SimTime::ZERO + d),
-            StopWhen::Blocks(b) => {
-                net.run_until_all(self.deadline_time(), |id, r| {
-                    plan.is_excused(id) || r.committed_height() >= b
-                });
-            }
-            StopWhen::ViewReached(v) => {
-                net.run_until_all(self.deadline_time(), |id, r| {
-                    plan.is_excused(id) || r.current_view() >= v
-                });
-            }
-        }
-
-        let traces = net.take_traces();
-        let metrics = net.take_metrics();
-        let nodes = (0..self.n as u32)
-            .map(|id| {
-                let r = net.actor(id);
-                let meter = net.meter(id);
-                let (commit_fps, commit_txs) =
-                    crate::report::commit_log_prefix(r.committed(), |d| {
-                        r.block(d).map(|b| b.payload.len() as u32)
-                    });
-                NodeReport {
-                    id,
-                    faulty: plan.is_faulty(id),
-                    is_hub: false,
-                    energy: NodeEnergy::from_meter(meter),
-                    committed_height: r.committed_height(),
-                    blocks_committed: r.metrics().blocks_committed,
-                    view_changes: r.metrics().view_changes,
-                    signs: meter.count(eesmr_energy::EnergyCategory::Sign),
-                    verifies: meter.count(eesmr_energy::EnergyCategory::Verify),
-                    mean_commit_latency: r.metrics().mean_commit_latency(),
-                    tx_injected: r.metrics().tx_injected,
-                    tx_forwarded: r.metrics().tx_forwarded,
-                    forward_retries: r.metrics().forward_retries,
-                    peak_backlog: r.peak_backlog() as u64,
-                    mean_batch_fill_pct: r.metrics().mean_batch_fill_pct(),
-                    tx_latency_hist: r.tx_latencies().clone(),
-                    commit_fps,
-                    commit_txs,
-                }
-            })
-            .collect();
-        let mut report =
-            self.report(variant_name(variant), f, delta, &net.stats(), nodes, net.now());
-        self.attach_observability(&mut report, metrics, &traces, |id| {
-            net.meter(id).attribution().clone()
-        });
-        (report, traces)
-    }
-
-    fn run_trusted(&self) -> (RunReport, TraceSet) {
-        // Star over the expensive medium; Δ is one hop to/from the hub.
-        let mut net_cfg = NetConfig::ble(star(self.n, HUB), self.seed);
-        net_cfg.channel = ChannelCost::PerByte { medium: Medium::FourG };
-        net_cfg.scheduler = self.scheduler;
-        net_cfg.trace = self.trace;
-        net_cfg.metrics = self.metrics;
-        let delta = net_cfg.delta();
-        let plan = self.effective_faults(delta);
-        net_cfg.link_faults = plan.link_faults();
-        let mut config = TbConfig::new(self.n, self.payload_bytes, delta * 2);
-        config.batch_policy = self.effective_batch_policy();
-        config.offered_load = self.offered_load;
-        let pki = Arc::new(KeyStore::generate(self.n, self.scheme, self.seed));
-        let mut nodes_v = build_tb_nodes(&config, &pki, |id| plan.tb_fault(id));
-        if let Some(workload) = &self.workload {
-            // The externally powered hub (node 0) orders but never
-            // originates: spokes 1..n map onto skew slots 0..n-1.
-            for (i, node) in nodes_v.iter_mut().enumerate().skip(1) {
-                let source = workload.node_source(i as u32, i - 1, self.n - 1, self.seed);
-                node.attach_workload(Box::new(source));
-            }
-        }
-        let mut net = ShardedNet::new(net_cfg, nodes_v, self.shards);
-
-        // View-keyed behaviours translate to permanent silence in the
-        // view-less baseline (see `FaultPlan::tb_fault`), so the excuse
-        // set is computed from the translated fault, not the plan's.
-        match self.stop {
-            StopWhen::Elapsed(d) => net.run_until(SimTime::ZERO + d),
-            StopWhen::Blocks(b) => {
-                net.run_until_all(self.deadline_time(), |id, n| {
-                    plan.tb_is_excused(id) || n.committed_height() >= b
-                });
-            }
-            StopWhen::ViewReached(_) => {} // no views in the baseline
-        }
-
-        let traces = net.take_traces();
-        let metrics = net.take_metrics();
-        let nodes = (0..self.n as u32)
-            .map(|id| {
-                let r = net.actor(id);
-                let meter = net.meter(id);
-                let (commit_fps, commit_txs) =
-                    crate::report::commit_log_prefix(r.committed(), |d| {
-                        r.block(d).map(|b| b.payload.len() as u32)
-                    });
-                NodeReport {
-                    id,
-                    faulty: id != HUB && plan.is_faulty(id),
-                    is_hub: id == HUB,
-                    energy: NodeEnergy::from_meter(meter),
-                    committed_height: r.committed_height(),
-                    blocks_committed: r.metrics().blocks_committed,
-                    view_changes: 0,
-                    signs: meter.count(eesmr_energy::EnergyCategory::Sign),
-                    verifies: meter.count(eesmr_energy::EnergyCategory::Verify),
-                    mean_commit_latency: r.metrics().mean_commit_latency(),
-                    tx_injected: r.metrics().tx_injected,
-                    tx_forwarded: r.metrics().tx_forwarded,
-                    forward_retries: r.metrics().forward_retries,
-                    peak_backlog: r.peak_backlog() as u64,
-                    mean_batch_fill_pct: r.metrics().mean_batch_fill_pct(),
-                    tx_latency_hist: r.tx_latencies().clone(),
-                    commit_fps,
-                    commit_txs,
-                }
-            })
-            .collect();
-        let mut report = self.report("Trusted baseline", 0, delta, &net.stats(), nodes, net.now());
-        self.attach_observability(&mut report, metrics, &traces, |id| {
-            net.meter(id).attribution().clone()
-        });
-        (report, traces)
-    }
-
-    fn report(
-        &self,
-        protocol: &'static str,
-        f: usize,
-        delta: SimDuration,
-        net: &eesmr_net::NetStats,
-        nodes: Vec<NodeReport>,
-        now: SimTime,
-    ) -> RunReport {
-        RunReport {
-            protocol,
-            n: self.n,
-            k: self.k,
-            f,
-            payload_bytes: self.payload_bytes,
-            delta_us: delta.as_micros(),
-            elapsed_us: now.as_micros(),
-            nodes,
-            net: net.clone(),
-            commit_path: None,
-            energy_attr: Vec::new(),
-            metrics: eesmr_net::MetricsSet::default(),
-            trace_dropped: Vec::new(),
-        }
-    }
-
-    /// Fills the report's observability surfaces: per-node energy
-    /// attribution matrices, the sampled telemetry series, and the
-    /// per-node trace-drop counters. All three are excluded from report
-    /// equality, so this cannot perturb determinism comparisons.
-    fn attach_observability(
-        &self,
-        report: &mut RunReport,
-        metrics: eesmr_net::MetricsSet,
-        traces: &TraceSet,
-        mut attribution: impl FnMut(u32) -> eesmr_energy::EnergyAttribution,
-    ) {
-        report.energy_attr = (0..self.n as u32).map(&mut attribution).collect();
-        report.metrics = metrics;
-        report.trace_dropped = traces.nodes.iter().map(|t| t.dropped).collect();
     }
 }
 
@@ -803,10 +505,68 @@ fn write_metrics_out(path: &str, report: &RunReport) {
     }
 }
 
-fn variant_name(v: HsVariant) -> &'static str {
-    match v {
-        HsVariant::SyncHotStuff => "Sync HotStuff",
-        HsVariant::OptSync => "OptSync",
+/// The simulator's run loop, shared by every protocol: build the net,
+/// run to the stop condition, and read one [`NodeReport`] per node.
+struct SimRun<'a> {
+    scenario: &'a Scenario,
+    net_cfg: NetConfig,
+    plan: &'a FaultPlan,
+}
+
+impl ClusterRun for SimRun<'_> {
+    type Output = (RunReport, TraceSet);
+
+    fn run<A>(self, cluster: Cluster<A>) -> Self::Output
+    where
+        A: Actor + SmrStatus + Send,
+        A::Msg: WireCodec + Send + 'static,
+        A::Timer: Send,
+    {
+        let SimRun { scenario: s, net_cfg, plan } = self;
+        let delta = net_cfg.delta();
+        let f = s.protocol_config(delta).f();
+        let Cluster { replicas, excused, view_reached, hub } = cluster;
+        let mut net = ShardedNet::new(net_cfg, replicas, s.shards);
+        let deadline = SimTime::ZERO + s.deadline;
+        match s.stop {
+            StopWhen::Elapsed(d) => net.run_until(SimTime::ZERO + d),
+            StopWhen::Blocks(b) => {
+                net.run_until_all(deadline, |id, r| {
+                    excused(plan, id) || r.committed_block_height() >= b
+                });
+            }
+            StopWhen::ViewReached(v) => {
+                net.run_until_all(deadline, |id, r| excused(plan, id) || view_reached(r, v));
+            }
+        }
+
+        let traces = net.take_traces();
+        let metrics = net.take_metrics();
+        let nodes = (0..s.n as NodeId)
+            .map(|id| {
+                let is_hub = hub == Some(id);
+                let faulty = !is_hub && plan.is_faulty(id);
+                NodeReport::from_node(id, net.actor(id), net.meter(id), faulty, is_hub)
+            })
+            .collect();
+        let report = RunReport {
+            protocol: s.protocol.name(),
+            n: s.n,
+            k: s.k,
+            f,
+            payload_bytes: s.payload_bytes,
+            delta_us: delta.as_micros(),
+            elapsed_us: net.now().as_micros(),
+            nodes,
+            net: net.stats(),
+            // The observability surfaces, all excluded from report
+            // equality, so they cannot perturb determinism comparisons.
+            commit_path: None,
+            energy_attr: (0..s.n as NodeId).map(|id| net.meter(id).attribution().clone()).collect(),
+            metrics,
+            trace_dropped: traces.nodes.iter().map(|t| t.dropped).collect(),
+        };
+        (report, traces)
     }
 }
 

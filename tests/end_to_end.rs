@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use eesmr_baselines::check_prefix_consistency;
-use eesmr_baselines::sync_hotstuff::{build_hs_replicas, HsConfig, HsFault, HsVariant};
-use eesmr_baselines::trusted::{build_tb_nodes, TbConfig, TbFault, HUB};
+use eesmr_baselines::sync_hotstuff::{build_hs_replicas, HsConfig, HsVariant};
+use eesmr_baselines::trusted::{build_tb_nodes, TbConfig, HUB};
 use eesmr_core::{build_replicas, set_deep_clone_spine, Block, Config, FaultMode, Replica};
 use eesmr_crypto::{Digest, KeyStore, SigScheme};
 use eesmr_energy::Medium;
@@ -272,7 +272,7 @@ fn every_replica_shares_one_allocation_per_block() {
     let block = assert_one_allocation(&id, (0..n as u32).map(|i| eesmr.actor(i).block(&id)));
 
     let config = HsConfig::new(n, net_cfg.delta(), HsVariant::SyncHotStuff);
-    let mut synchs = SimNet::new(net_cfg, build_hs_replicas(&config, &pki, |_| HsFault::Honest));
+    let mut synchs = SimNet::new(net_cfg, build_hs_replicas(&config, &pki, |_| FaultMode::Honest));
     synchs.run_for(run);
     let id = synchs.actor(0).committed()[2];
     assert_one_allocation(&id, (0..n as u32).map(|i| synchs.actor(i).block(&id)));
@@ -280,7 +280,7 @@ fn every_replica_shares_one_allocation_per_block() {
     let mut tb_cfg = NetConfig::ble(star(n, HUB), 12);
     tb_cfg.channel = ChannelCost::PerByte { medium: Medium::FourG };
     let config = TbConfig::new(n, 64, SimDuration::from_millis(5));
-    let mut trusted = SimNet::new(tb_cfg, build_tb_nodes(&config, &pki, |_| TbFault::Honest));
+    let mut trusted = SimNet::new(tb_cfg, build_tb_nodes(&config, &pki, |_| FaultMode::Honest));
     trusted.run_for(run);
     let id = trusted.actor(HUB).committed()[2];
     assert_one_allocation(&id, (0..n as u32).map(|i| trusted.actor(i).block(&id)));
