@@ -7,8 +7,8 @@
 use eesmr_driver::{Driver, DriverConfig, ScenarioGrid};
 use eesmr_net::SimDuration;
 use eesmr_sim::{
-    ArrivalProcess, FaultPlan, FaultSpec, Protocol, RunReport, Scenario, SchedulerKind, Skew,
-    StopWhen, Workload,
+    ArrivalProcess, BatchPolicy, FaultPlan, FaultSpec, Protocol, RunReport, Scenario,
+    SchedulerKind, Skew, StopWhen, Workload,
 };
 
 /// The bursty, skewed, closed-loop workload the determinism grids use —
@@ -485,8 +485,10 @@ fn report_digest(r: &RunReport) -> String {
 /// per-protocol fault translation (silence, equivocation, withholding,
 /// crash-recovery, a healing partition), at n = 7, k = 3, under a small
 /// Poisson workload for a fixed 400 ms — plus `Blocks` cells (the
-/// excuse predicates) and a trusted `ViewReached` cell (a stop the
-/// view-less baseline meets without running).
+/// excuse predicates), a trusted `ViewReached` cell (a stop the
+/// view-less baseline meets without running), and the client-path
+/// knobs: forward batching (the Δ flush timer) and the adaptive batch
+/// policy the benchmark runs.
 fn pinned_scenarios() -> Vec<(String, Scenario)> {
     let w = Workload::new(ArrivalProcess::Poisson { rate: 400 });
     let base = |protocol| {
@@ -523,6 +525,13 @@ fn pinned_scenarios() -> Vec<(String, Scenario)> {
             .fault_spec(FaultSpec::SilentLeader)
             .stop(StopWhen::ViewReached(2)),
     ));
+    for protocol in [Protocol::Eesmr, Protocol::SyncHotStuff] {
+        cells.push((format!("{protocol:?}/forward-batch-4"), base(protocol).forward_batch(4)));
+    }
+    let adaptive = BatchPolicy::Adaptive { min: 1, max: 64, target_fill_pct: 100 };
+    for protocol in [Protocol::Eesmr, Protocol::SyncHotStuff, Protocol::TrustedBaseline] {
+        cells.push((format!("{protocol:?}/adaptive"), base(protocol).batch_policy(adaptive)));
+    }
     cells
 }
 
@@ -560,6 +569,11 @@ fn reports_match_pinned_digests() {
         "5b26226c6603532789ad3e82fa488e5f4e5962d5085a844eeac8043cb2f22841", // SyncHotStuff/silent-leader/blocks
         "1ca339f4989bd89c617f59a94ab960f3b76cbb123eca06ed17ba46b4a4350018", // TrustedBaseline/withhold/blocks
         "6942937aa45a5459d85c8dc736f3e714ddd051d5da8a6fdc4941832fb92e9293", // TrustedBaseline/silent-leader/view
+        "156e4a10ce859c26f4968f5263ecc95a5321be12472c6890cd36bd1ef763b575", // Eesmr/forward-batch-4
+        "52ab10810e61a255f6c60916899b749b88401e53fee2df9d5a7b2740b1da00ad", // SyncHotStuff/forward-batch-4
+        "208d0c30019fbe7c426efe6b7ce74b63598575e76eba4ac5e99cc712caf38a0d", // Eesmr/adaptive
+        "5eb4f232d2493bedb8a49df6a352fbacbe41145d9ce783b6b28ea021d8baa44b", // SyncHotStuff/adaptive
+        "b6f953063e060ed55f75a01ffc5340e9817736efcc2acf6237b3cb8f6b48afcc", // TrustedBaseline/adaptive
     ];
     let actual: Vec<(String, String)> = pinned_scenarios()
         .into_iter()
