@@ -2,9 +2,8 @@
 //! repository, so harnesses and tests can assert safety/liveness and
 //! build per-node reports generically.
 
-use eesmr_core::{Block, Metrics};
+use eesmr_core::{Block, ClientPath, Metrics};
 use eesmr_crypto::Digest;
-use eesmr_trace::hist::LogHistogram;
 
 /// Observable replication state.
 pub trait SmrStatus {
@@ -23,12 +22,9 @@ pub trait SmrStatus {
     /// Protocol counters.
     fn metrics(&self) -> &Metrics;
 
-    /// High-water mark of the pending-command backlog over the run.
-    fn peak_backlog(&self) -> usize;
-
-    /// End-to-end (birth → local commit) latencies of the workload
-    /// transactions injected at this replica, µs.
-    fn tx_latencies(&self) -> &LogHistogram;
+    /// The client path: its pool's peak backlog and the end-to-end
+    /// latencies of the workload transactions injected at this replica.
+    fn client(&self) -> &ClientPath;
 }
 
 impl SmrStatus for eesmr_core::Replica {
@@ -52,12 +48,8 @@ impl SmrStatus for eesmr_core::Replica {
         self.metrics()
     }
 
-    fn peak_backlog(&self) -> usize {
-        self.peak_backlog()
-    }
-
-    fn tx_latencies(&self) -> &LogHistogram {
-        self.tx_latencies()
+    fn client(&self) -> &ClientPath {
+        self.client()
     }
 }
 

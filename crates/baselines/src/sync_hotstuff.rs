@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use eesmr_core::message::signing_bytes;
 use eesmr_core::{
-    AdaptiveBatcher, BatchPolicy, Block, BlockStore, CertifiedBlock, Command, Commands, FaultMode,
-    Metrics, MsgKind, QuorumCert, TxPool, WorkloadSource,
+    BatchPolicy, Block, CertifiedBlock, ChainSync, ClientPath, Command, Commands, FaultMode,
+    Metrics, MsgKind, QuorumCert, WorkloadSource,
 };
 use eesmr_crypto::{Digest, Hashable, KeyPair, KeyStore, Signature};
 use eesmr_net::{
@@ -359,15 +359,13 @@ pub struct HsReplica {
     fault: FaultMode,
 
     v_cur: u64,
-    store: BlockStore,
+    chain: ChainSync<HsMsg>,
     tip: Digest,
     tip_height: u64,
     highest_cert: Option<CertifiedBlock>,
     b_com: Digest,
     b_com_height: u64,
-    txpool: TxPool,
-    batcher: AdaptiveBatcher,
-    workload: Option<Box<dyn WorkloadSource>>,
+    client: ClientPath,
 
     proposals_seen: HashMap<(u64, u64), (Digest, HsMsg)>,
     voted: HashSet<(u64, u64)>,
@@ -379,7 +377,6 @@ pub struct HsReplica {
     blame_timer: Option<TimerId>,
     outstanding: usize,
     first_seen: HashMap<Digest, SimTime>,
-    forward_flush_armed: bool,
 
     blames: BTreeMap<NodeId, Signature>,
     view_aborted: bool,
@@ -388,8 +385,6 @@ pub struct HsReplica {
     new_view_proposed: bool,
 
     future_views: Vec<(NodeId, HsMsg)>,
-    orphans: HashMap<Digest, Vec<(NodeId, HsMsg)>>,
-    sync_requested: HashSet<Digest>,
 
     committed_log: Vec<Digest>,
     metrics: Metrics,
@@ -410,25 +405,22 @@ impl HsReplica {
     /// Creates a replica.
     pub fn new(id: NodeId, config: HsConfig, pki: Arc<KeyStore>, fault: FaultMode) -> Self {
         assert!(pki.n() >= config.n, "key store must cover all nodes");
-        let store = BlockStore::new();
-        let genesis = store.genesis_id();
-        let payload = config.payload_bytes;
-        let offered = config.offered_load;
+        let chain = ChainSync::default();
+        let genesis = chain.store.genesis_id();
+        let client = ClientPath::new(config.payload_bytes, config.offered_load);
         HsReplica {
             id,
             config,
             pki,
             fault,
             v_cur: 1,
-            store,
+            chain,
             tip: genesis,
             tip_height: 0,
             highest_cert: None,
             b_com: genesis,
             b_com_height: 0,
-            txpool: TxPool::synthetic(payload).with_offered_load(offered),
-            batcher: AdaptiveBatcher::new(),
-            workload: None,
+            client,
             proposals_seen: HashMap::new(),
             voted: HashSet::new(),
             votes: HashMap::new(),
@@ -439,15 +431,12 @@ impl HsReplica {
             blame_timer: None,
             outstanding: 0,
             first_seen: HashMap::new(),
-            forward_flush_armed: false,
             blames: BTreeMap::new(),
             view_aborted: false,
             quit_scheduled: false,
             statuses: BTreeMap::new(),
             new_view_proposed: false,
             future_views: Vec::new(),
-            orphans: HashMap::new(),
-            sync_requested: HashSet::new(),
             committed_log: Vec::new(),
             metrics: Metrics::default(),
         }
@@ -480,83 +469,56 @@ impl HsReplica {
 
     /// Looks up a block.
     pub fn block(&self, id: &Digest) -> Option<&Block> {
-        self.store.get(id)
+        self.chain.store.get(id)
     }
 
-    /// Attaches a client-workload stream (mirrors
-    /// `eesmr_core::Replica::attach_workload`): arrival timers inject
-    /// timestamped transactions and the synthetic fallback is disabled.
+    /// Attaches a client-workload stream (see
+    /// `ClientPath::attach_workload`).
     pub fn attach_workload(&mut self, source: Box<dyn WorkloadSource>) {
-        self.txpool.client_only();
-        self.workload = Some(source);
-    }
-
-    /// Histogram of end-to-end (birth → local commit) latencies of
-    /// workload transactions injected at this node, in microseconds.
-    pub fn tx_latencies(&self) -> &eesmr_trace::hist::LogHistogram {
-        self.txpool.tx_latencies()
-    }
-
-    /// High-water mark of the pending-command backlog over the run.
-    pub fn peak_backlog(&self) -> usize {
-        self.txpool.peak_backlog()
+        self.client.attach_workload(source);
     }
 
     /// One arrival event: inject, re-arm, and either propose the fresh
     /// backlog (leader) or forward it to the proposer (everyone else).
     fn on_arrival(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(source) = &mut self.workload else { return };
-        let now_us = ctx.now().as_micros();
-        let traced = ctx.traces(TraceClass::Commit);
-        let delay = self.txpool.drive_arrival(source.as_mut(), &mut self.metrics, now_us, |cmd| {
-            if traced {
-                ctx.trace(TraceEventKind::TxInject { tx: cmd.fingerprint() });
-            }
-        });
-        if let Some(delay) = delay {
-            ctx.set_timer(SimDuration::from_micros(delay), HsTimer::Arrival);
-        }
+        self.client.on_arrival(&mut self.metrics, ctx, HsTimer::Arrival);
         self.try_propose(ctx);
         self.maybe_forward_backlog(ctx);
     }
 
-    /// Forward immediately once the backlog reaches the
-    /// `forward_batch` threshold; below it, arm a single Δ flush timer
-    /// so sub-threshold commands never strand. `forward_batch <= 1`
-    /// preserves the historical forward-per-arrival behaviour.
+    /// Whether this node relays client commands to the leader right now.
+    fn may_forward(&self) -> bool {
+        !self.is_leader() && self.active() && !self.view_aborted
+    }
+
+    /// Forward now, or wait for the `forward_batch` threshold or the Δ
+    /// flush timer (see `ClientPath::forward_due`).
     fn maybe_forward_backlog(&mut self, ctx: &mut Ctx<'_>) {
-        if self.is_leader() || !self.active() || self.view_aborted || self.txpool.is_empty() {
-            return;
-        }
-        if self.config.forward_batch <= 1 || self.txpool.backlog() >= self.config.forward_batch {
+        if self.may_forward()
+            && self.client.forward_due(
+                self.config.forward_batch,
+                self.config.delta,
+                ctx,
+                HsTimer::ForwardFlush,
+            )
+        {
             self.forward_backlog(ctx);
-        } else if !self.forward_flush_armed {
-            self.forward_flush_armed = true;
-            ctx.set_timer(self.config.delta, HsTimer::ForwardFlush);
         }
     }
 
-    /// Command forwarding (mirrors `eesmr_core::Replica::forward_backlog`):
-    /// a non-leading node relays its queued client commands to the
-    /// current leader so they cannot strand in a pool that never
-    /// proposes. Births stay at the origin (latency settles there on
-    /// commit), and the new-view path re-forwards whatever a dead
-    /// leader dropped.
+    /// Command forwarding: a non-leading node relays its queued client
+    /// commands to the current leader so they cannot strand in a pool
+    /// that never proposes — including commands forwarded to it while
+    /// it led a view that has since ended. Unlike EESMR, no retry timer
+    /// backs the forward up.
     fn forward_backlog(&mut self, ctx: &mut Ctx<'_>) {
-        // No workload gate: commands forwarded to an ex-leader must be
-        // re-routed onward too (synthetic pools never populate
-        // `pending`, so non-workload runs stay forward-free).
-        if self.is_leader() || !self.active() || self.view_aborted || self.txpool.is_empty() {
+        if !self.may_forward() {
             return;
         }
-        let commands = self.txpool.take_pending();
-        self.metrics.tx_forwarded += commands.len() as u64;
         let leader = self.config.leader_of(self.v_cur);
-        if ctx.traces(TraceClass::Commit) {
-            for cmd in &commands {
-                ctx.trace(TraceEventKind::TxForward { tx: cmd.fingerprint(), leader });
-            }
-        }
+        let Some(commands) = self.client.take_forward(leader, &mut self.metrics, ctx) else {
+            return;
+        };
         let msg = self.sign(HsPayload::Forward { commands: commands.into() }, ctx);
         ctx.send_to(leader, msg);
     }
@@ -569,9 +531,7 @@ impl HsReplica {
             return;
         }
         let HsPayload::Forward { commands } = &msg.payload else { return };
-        for cmd in commands.iter().cloned() {
-            self.txpool.submit(cmd);
-        }
+        self.client.submit(commands.iter().cloned());
         if self.is_leader() {
             self.try_propose(ctx);
         } else {
@@ -638,7 +598,7 @@ impl HsReplica {
         if !allowed {
             return;
         }
-        let parent = self.store.get(&self.tip).expect("tip block stored").clone();
+        let parent = self.chain.store.get(&self.tip).expect("tip block stored").clone();
         let justify = if parent.height == 0 {
             None
         } else {
@@ -647,8 +607,7 @@ impl HsReplica {
                 _ => return, // parent not certified yet — wait for votes
             }
         };
-        let want = self.batcher.next_size(self.txpool.backlog(), self.config.batch_policy);
-        let batch = self.txpool.next_batch(want);
+        let batch = self.client.cut_batch(self.config.batch_policy);
         self.metrics.record_batch_fill(batch.len(), self.config.batch_policy.max_size());
         let block = Block::extending(&parent, self.v_cur, parent.height + 1, batch);
         ctx.meter().charge_hash(block.wire_size());
@@ -663,7 +622,7 @@ impl HsReplica {
                 round: block.height,
             });
         }
-        self.store.insert(block.clone());
+        self.chain.store.insert(block.clone());
         let msg = self.sign(HsPayload::Propose { block: block.clone(), justify }, ctx);
         ctx.flood(msg);
 
@@ -675,7 +634,7 @@ impl HsReplica {
                     parent.height + 1,
                     vec![Command::synthetic(u64::MAX, self.config.payload_bytes)],
                 );
-                self.store.insert(twin.clone());
+                self.chain.store.insert(twin.clone());
                 let justify2 = match &self.highest_cert {
                     Some(c) if c.block.id() == parent.id() => Some(c.qc.clone()),
                     _ => None,
@@ -719,14 +678,14 @@ impl HsReplica {
         if msg.view < self.v_cur || self.view_aborted {
             return;
         }
-        if !self.store.contains(&block.parent) {
+        if !self.chain.store.contains(&block.parent) {
             let parent = block.parent;
-            self.orphans.entry(parent).or_default().push((from, msg));
+            self.chain.park(parent, from, msg);
             self.request_sync(parent, from, ctx);
             return;
         }
         // Insert before the lock check so lineage walks see the block.
-        self.store.insert(block.clone());
+        self.chain.store.insert(block.clone());
         // Certificate rule: non-initial blocks need a certified parent.
         if block.height > 1 {
             let Some(qc) = justify else {
@@ -743,7 +702,7 @@ impl HsReplica {
         }
         // Lock rule: must extend the highest certified block.
         if let Some(c) = &self.highest_cert {
-            if !self.store.extends(&block_id, &c.block.id()) {
+            if !self.chain.store.extends(&block_id, &c.block.id()) {
                 self.metrics.proposals_rejected += 1;
                 return;
             }
@@ -848,7 +807,7 @@ impl HsReplica {
             .map(|(n, s)| (*n, s.clone()))
             .collect();
         let qc = QuorumCert { kind: MsgKind::HsVote, view, data: block_id, height, sigs };
-        if let Some(block) = self.store.get(&block_id).cloned() {
+        if let Some(block) = self.chain.store.get(&block_id).cloned() {
             let higher = self.highest_cert.as_ref().is_none_or(|c| height > c.block.height);
             if higher {
                 self.highest_cert = Some(CertifiedBlock { qc, block });
@@ -889,28 +848,28 @@ impl HsReplica {
 
     fn commit_block(&mut self, block_id: Digest, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let Some(block) = self.store.get(&block_id) else { return };
+        let Some(block) = self.chain.store.get(&block_id) else { return };
         if block.height <= self.b_com_height {
             return;
         }
-        let Some(segment) = self.store.segment(&self.b_com, &block_id) else { return };
+        let Some(segment) = self.chain.store.segment(&self.b_com, &block_id) else { return };
         for id in segment {
             self.committed_log.push(id);
             self.metrics.blocks_committed += 1;
             if let Some(seen) = self.first_seen.remove(&id) {
                 self.metrics.record_commit_latency(now.since(seen));
             }
-            let b = self.store.get(&id).expect("segment stored").clone();
+            let b = self.chain.store.get(&id).expect("segment stored").clone();
             if ctx.traces(TraceClass::Commit) {
                 ctx.trace(TraceEventKind::Commit {
                     block: eesmr_core::block::fingerprint(&id),
                     height: b.height,
                 });
             }
-            self.txpool.remove_committed(&b, now);
+            self.client.settle(&b, now);
         }
         self.b_com = block_id;
-        self.b_com_height = self.store.get(&block_id).expect("stored").height;
+        self.b_com_height = self.chain.store.get(&block_id).expect("stored").height;
         self.metrics.committed_height = self.b_com_height;
     }
 
@@ -1042,7 +1001,7 @@ impl HsReplica {
         ctx.trace(TraceEventKind::ViewEnter { view: self.v_cur });
         // Workload transactions drained into the dead view's discarded
         // proposals go back in the pool for the new view.
-        self.txpool.requeue_unresolved();
+        self.client.requeue_unresolved();
         // The proposing tip must be a *certified* block: votes cast for
         // never-certified blocks of the dead view cannot be justified by
         // the next leader. Fall back to the highest certificate (or
@@ -1053,7 +1012,7 @@ impl HsReplica {
                 self.tip_height = c.block.height;
             }
             None => {
-                self.tip = self.store.genesis_id();
+                self.tip = self.chain.store.genesis_id();
                 self.tip_height = 0;
             }
         }
@@ -1099,7 +1058,7 @@ impl HsReplica {
             {
                 return;
             }
-            self.store.insert(c.block.clone());
+            self.chain.store.insert(c.block.clone());
         }
         self.statuses.insert(msg.signer, cert.clone());
     }
@@ -1126,7 +1085,7 @@ impl HsReplica {
     }
 
     fn request_sync(&mut self, want: Digest, from: NodeId, ctx: &mut Ctx<'_>) {
-        if from == self.id || !self.sync_requested.insert(want) {
+        if !self.chain.should_request(want, from, self.id) {
             return;
         }
         self.metrics.sync_requests += 1;
@@ -1139,7 +1098,8 @@ impl HsReplica {
         if !self.verify_envelope(&msg, ctx) {
             return;
         }
-        let blocks: Vec<Block> = self.store.ancestors(want, 32).into_iter().cloned().collect();
+        let blocks: Vec<Block> =
+            self.chain.store.ancestors(want, 32).into_iter().cloned().collect();
         if blocks.is_empty() {
             return;
         }
@@ -1149,16 +1109,7 @@ impl HsReplica {
 
     fn on_sync_response(&mut self, _from: NodeId, msg: HsMsg, ctx: &mut Ctx<'_>) {
         let HsPayload::SyncResponse { blocks } = msg.payload else { return };
-        let mut unblocked = Vec::new();
-        for block in blocks {
-            ctx.meter().charge_hash(block.wire_size());
-            let id = self.store.insert(block);
-            self.sync_requested.remove(&id);
-            if let Some(waiting) = self.orphans.remove(&id) {
-                unblocked.extend(waiting);
-            }
-        }
-        for (from, m) in unblocked {
+        for (from, m) in self.chain.ingest(blocks, ctx) {
             self.on_propose(from, m, ctx);
         }
     }
@@ -1175,13 +1126,8 @@ impl HsReplica {
     /// the committed prefix is durable — re-arm and ask for the rest.
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
         self.cancel_commit_timers(ctx);
-        self.forward_flush_armed = false;
         self.reset_blame_timer(self.config.steady_blame_multiple(), ctx);
-        if let Some(source) = &mut self.workload {
-            if let Some(delay) = source.next_arrival_in(ctx.now().as_micros()) {
-                ctx.set_timer(SimDuration::from_micros(delay), HsTimer::Arrival);
-            }
-        }
+        self.client.restart(ctx, HsTimer::Arrival);
         self.metrics.repair_requests += 1;
         let msg = self.sign(HsPayload::Repair { from_height: self.b_com_height }, ctx);
         ctx.flood(msg);
@@ -1192,16 +1138,7 @@ impl HsReplica {
         if !self.verify_envelope(&msg, ctx) || self.b_com_height <= from_height {
             return;
         }
-        let mut blocks = Vec::new();
-        let mut cur = self.b_com;
-        while let Some(b) = self.store.get(&cur) {
-            if b.height <= from_height || blocks.len() >= 256 {
-                break;
-            }
-            blocks.push(b.clone());
-            cur = b.parent;
-        }
-        blocks.reverse();
+        let blocks = self.chain.store.committed_suffix(&self.b_com, from_height, 256);
         if blocks.is_empty() {
             return;
         }
@@ -1214,22 +1151,11 @@ impl HsReplica {
         let HsPayload::RepairReply { blocks, view } = msg.payload else { return };
         // Self-certifying: hash-linked oldest first, rooted in a block we
         // already hold.
-        let Some(first) = blocks.first() else { return };
-        if !self.store.contains(&first.parent)
-            || blocks.windows(2).any(|w| w[1].parent != w[0].id())
-        {
+        if !self.chain.is_linked_suffix(&blocks) {
             return;
         }
         let tip = blocks.last().expect("non-empty").clone();
-        let mut unblocked = Vec::new();
-        for block in blocks {
-            ctx.meter().charge_hash(block.wire_size());
-            let id = self.store.insert(block);
-            self.sync_requested.remove(&id);
-            if let Some(waiting) = self.orphans.remove(&id) {
-                unblocked.extend(waiting);
-            }
-        }
+        let unblocked = self.chain.ingest(blocks, ctx);
         let tip_id = tip.id();
         self.commit_block(tip_id, ctx);
         if tip.height > self.tip_height {
@@ -1245,7 +1171,7 @@ impl HsReplica {
             self.blames.clear();
             self.statuses.clear();
             self.new_view_proposed = false;
-            self.txpool.requeue_unresolved();
+            self.client.requeue_unresolved();
             self.reset_blame_timer(self.config.steady_blame_multiple(), ctx);
             self.forward_backlog(ctx);
             let pending: Vec<(NodeId, HsMsg)> = {
@@ -1278,11 +1204,7 @@ impl Actor for HsReplica {
             return;
         }
         self.reset_blame_timer(self.config.steady_blame_multiple(), ctx);
-        if let Some(source) = &mut self.workload {
-            if let Some(delay) = source.next_arrival_in(ctx.now().as_micros()) {
-                ctx.set_timer(SimDuration::from_micros(delay), HsTimer::Arrival);
-            }
-        }
+        self.client.start(ctx, HsTimer::Arrival);
         self.try_propose(ctx);
     }
 
@@ -1317,7 +1239,7 @@ impl Actor for HsReplica {
             HsTimer::LeaderStatus { view } => self.on_leader_status(view, ctx),
             HsTimer::Arrival => self.on_arrival(ctx),
             HsTimer::ForwardFlush => {
-                self.forward_flush_armed = false;
+                self.client.flush_fired();
                 self.forward_backlog(ctx);
             }
             HsTimer::Restart => self.on_restart(ctx),
@@ -1325,15 +1247,8 @@ impl Actor for HsReplica {
     }
 
     fn gauges(&self) -> eesmr_net::ActorGauges {
-        // Node-local state only — the telemetry determinism contract.
         // Sync HotStuff has no forward-retry timer, so that gauge stays 0.
-        eesmr_net::ActorGauges {
-            tx_in_flight: self.txpool.in_flight() as u64,
-            pool_backlog: self.txpool.backlog() as u64,
-            forward_retries: self.metrics.forward_retries,
-            batch_fill_pct: self.metrics.last_batch_fill_pct as f64,
-            view: self.v_cur,
-        }
+        self.client.gauges(&self.metrics, self.v_cur)
     }
 }
 
@@ -1358,12 +1273,8 @@ impl crate::status::SmrStatus for HsReplica {
         self.metrics()
     }
 
-    fn peak_backlog(&self) -> usize {
-        self.peak_backlog()
-    }
-
-    fn tx_latencies(&self) -> &eesmr_trace::hist::LogHistogram {
-        self.tx_latencies()
+    fn client(&self) -> &ClientPath {
+        &self.client
     }
 }
 

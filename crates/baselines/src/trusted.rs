@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use eesmr_core::message::signing_bytes;
 use eesmr_core::{
-    AdaptiveBatcher, BatchPolicy, Block, BlockStore, Command, Commands, FaultMode, Metrics,
-    MsgKind, TxPool, WorkloadSource,
+    BatchPolicy, Block, BlockStore, ClientPath, Command, Commands, FaultMode, Metrics, MsgKind,
+    WorkloadSource,
 };
 use eesmr_crypto::{Digest, KeyPair, KeyStore, Signature};
 use eesmr_net::{Actor, Context, Message, NodeId, SimDuration, TraceClass, TraceEventKind};
@@ -183,9 +183,7 @@ pub struct TbNode {
     pki: Arc<KeyStore>,
     store: BlockStore,
     tip: Digest,
-    txpool: TxPool,
-    batcher: AdaptiveBatcher,
-    workload: Option<Box<dyn WorkloadSource>>,
+    client: ClientPath,
     upload_seq: u64,
     pending: Vec<Command>,
     committed_log: Vec<Digest>,
@@ -211,17 +209,14 @@ impl TbNode {
     pub fn new(id: NodeId, config: TbConfig, pki: Arc<KeyStore>) -> Self {
         let store = BlockStore::new();
         let tip = store.genesis_id();
-        let payload = config.payload_bytes;
-        let offered = config.offered_load;
+        let client = ClientPath::new(config.payload_bytes, config.offered_load);
         TbNode {
             id,
             config,
             pki,
             store,
             tip,
-            txpool: TxPool::synthetic(payload).with_offered_load(offered),
-            batcher: AdaptiveBatcher::new(),
-            workload: None,
+            client,
             upload_seq: 0,
             pending: Vec::new(),
             committed_log: Vec::new(),
@@ -288,44 +283,16 @@ impl TbNode {
     /// Panics if called on the hub.
     pub fn attach_workload(&mut self, source: Box<dyn WorkloadSource>) {
         assert!(!self.is_hub(), "the trusted hub does not originate transactions");
-        self.txpool.client_only();
-        self.workload = Some(source);
+        self.client.attach_workload(source);
     }
 
-    /// Histogram of end-to-end (birth → local commit) latencies of
-    /// workload transactions injected at this spoke, in microseconds.
-    pub fn tx_latencies(&self) -> &eesmr_trace::hist::LogHistogram {
-        self.txpool.tx_latencies()
-    }
-
-    /// High-water mark of the pending-command backlog over the run.
-    pub fn peak_backlog(&self) -> usize {
-        self.txpool.peak_backlog()
-    }
-
-    /// One arrival event: inject, re-arm, and upload the fresh backlog
-    /// to the hub.
-    fn on_arrival(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(source) = &mut self.workload else { return };
-        let now_us = ctx.now().as_micros();
-        let traced = ctx.traces(TraceClass::Commit);
-        let delay = self.txpool.drive_arrival(source.as_mut(), &mut self.metrics, now_us, |cmd| {
-            if traced {
-                ctx.trace(TraceEventKind::TxInject { tx: cmd.fingerprint() });
-            }
-        });
-        if let Some(delay) = delay {
-            ctx.set_timer(SimDuration::from_micros(delay), TbTimer::Arrival);
-        }
-        self.upload(ctx);
-    }
-
+    /// The spoke's upload: the next batch from its pool, signed once and
+    /// sent up its one edge to the hub.
     fn upload(&mut self, ctx: &mut Ctx<'_>) {
-        let want = self.batcher.next_size(self.txpool.backlog(), self.config.batch_policy);
-        let batch = self.txpool.next_batch(want);
+        let batch = self.client.cut_batch(self.config.batch_policy);
         // A workload-fed spoke only uploads real transactions; the
         // synthetic feed keeps its historical empty-batch heartbeat.
-        if batch.is_empty() && self.workload.is_some() {
+        if batch.is_empty() && self.client.has_workload() {
             return;
         }
         self.metrics.record_batch_fill(batch.len(), self.config.batch_policy.max_size());
@@ -381,11 +348,7 @@ impl Actor for TbNode {
         if self.is_hub() {
             ctx.set_timer(self.config.order_period, TbTimer::Order);
         } else {
-            if let Some(source) = &mut self.workload {
-                if let Some(delay) = source.next_arrival_in(ctx.now().as_micros()) {
-                    ctx.set_timer(SimDuration::from_micros(delay), TbTimer::Arrival);
-                }
-            }
+            self.client.start(ctx, TbTimer::Arrival);
             self.upload(ctx);
         }
     }
@@ -425,7 +388,7 @@ impl Actor for TbNode {
                     return;
                 }
                 self.commit(block, ctx);
-                self.txpool.remove_committed(block, ctx.now());
+                self.client.settle(block, ctx.now());
                 // Upload the next unit after each ordered block.
                 self.upload(ctx);
             }
@@ -441,19 +404,7 @@ impl Actor for TbNode {
                 if self.committed_height <= *from_height {
                     return; // nothing newer to serve
                 }
-                // Walk the committed chain from the tip down to the
-                // requested height (capped to bound the reply; the
-                // spoke re-requests if still behind).
-                let mut blocks = Vec::new();
-                let mut cursor = self.tip;
-                while let Some(b) = self.store.get(&cursor) {
-                    if b.height <= *from_height || blocks.len() >= 256 {
-                        break;
-                    }
-                    cursor = b.parent;
-                    blocks.push(b.clone());
-                }
-                blocks.reverse();
+                let blocks = self.store.committed_suffix(&self.tip, *from_height, 256);
                 self.metrics.repairs_served += 1;
                 let reply =
                     TbMsg::new(TbPayload::RepairReply { blocks }, self.pki.keypair(self.id));
@@ -476,7 +427,7 @@ impl Actor for TbNode {
                         continue; // must extend our committed tip in order
                     }
                     self.commit(block, ctx);
-                    self.txpool.remove_committed(block, ctx.now());
+                    self.client.settle(block, ctx.now());
                 }
                 // Caught up (or as far as one capped reply gets us):
                 // resume the upload loop.
@@ -522,15 +473,14 @@ impl Actor for TbNode {
                 ctx.set_timer(self.config.order_period, TbTimer::Order);
             }
             TbTimer::Upload => self.upload(ctx),
-            TbTimer::Arrival => self.on_arrival(ctx),
+            TbTimer::Arrival => {
+                self.client.on_arrival(&mut self.metrics, ctx, TbTimer::Arrival);
+                self.upload(ctx);
+            }
             TbTimer::Restart => {
                 // Back online: re-arm the workload feed and catch up on
                 // everything the hub ordered during the outage.
-                if let Some(source) = &mut self.workload {
-                    if let Some(delay) = source.next_arrival_in(ctx.now().as_micros()) {
-                        ctx.set_timer(SimDuration::from_micros(delay), TbTimer::Arrival);
-                    }
-                }
+                self.client.restart(ctx, TbTimer::Arrival);
                 self.repair_inflight = false;
                 self.request_repair(ctx);
             }
@@ -538,19 +488,13 @@ impl Actor for TbNode {
     }
 
     fn gauges(&self) -> eesmr_net::ActorGauges {
-        // Node-local state only — the telemetry determinism contract.
         // The hub's ordering queue counts as its backlog; spokes report
         // their txpool. No forward-retry machinery in this baseline.
-        eesmr_net::ActorGauges {
-            tx_in_flight: self.txpool.in_flight() as u64,
-            pool_backlog: if self.is_hub() {
-                self.pending.len() as u64
-            } else {
-                self.txpool.backlog() as u64
-            },
-            forward_retries: self.metrics.forward_retries,
-            batch_fill_pct: self.metrics.last_batch_fill_pct as f64,
-            view: 1,
+        let gauges = self.client.gauges(&self.metrics, 1);
+        if self.is_hub() {
+            eesmr_net::ActorGauges { pool_backlog: self.pending.len() as u64, ..gauges }
+        } else {
+            gauges
         }
     }
 }
@@ -576,12 +520,8 @@ impl crate::status::SmrStatus for TbNode {
         self.metrics()
     }
 
-    fn peak_backlog(&self) -> usize {
-        self.peak_backlog()
-    }
-
-    fn tx_latencies(&self) -> &eesmr_trace::hist::LogHistogram {
-        self.tx_latencies()
+    fn client(&self) -> &ClientPath {
+        &self.client
     }
 }
 

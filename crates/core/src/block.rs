@@ -7,11 +7,12 @@
 //! `B = ⟨m, H(b_m), H(h_{m−1}), ⟨i, H(b_i)⟩_L⟩` — height, payload hash,
 //! parent hash, leader signature; our wire sizes follow that layout.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use eesmr_crypto::{Digest, Hashable};
+use eesmr_net::{Context, Message, NodeId};
 
 /// A client command (opaque request bytes).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -485,6 +486,85 @@ impl BlockStore {
         out.reverse();
         Some(out)
     }
+
+    /// The chain above `above_height` ending at `tip`, oldest first,
+    /// holding at most the `cap` blocks nearest the tip — what a Repair
+    /// server sends a lagging peer (a still-lagging requester asks
+    /// again). Stops early at a gap.
+    pub fn committed_suffix(&self, tip: &Digest, above_height: u64, cap: usize) -> Vec<Block> {
+        let mut blocks = Vec::new();
+        let mut cur = *tip;
+        while let Some(b) = self.blocks.get(&cur) {
+            if b.height <= above_height || blocks.len() >= cap {
+                break;
+            }
+            blocks.push(b.clone());
+            cur = b.parent;
+        }
+        blocks.reverse();
+        blocks
+    }
+}
+
+/// Chain catch-up state a view-based replica shares across protocols:
+/// the block store, the messages parked until a missing ancestor
+/// arrives (orphans), and the blocks already requested from a peer.
+///
+/// Blocks are self-certifying (hash-linked), so nothing here checks a
+/// signature. Each protocol still sends its own signed request and
+/// replays the unblocked orphans through its own handler.
+#[derive(Debug, Clone)]
+pub struct ChainSync<M> {
+    /// Every block this replica holds.
+    pub store: BlockStore,
+    orphans: HashMap<Digest, Vec<(NodeId, M)>>,
+    requested: HashSet<Digest>,
+}
+
+impl<M> Default for ChainSync<M> {
+    fn default() -> Self {
+        ChainSync { store: BlockStore::new(), orphans: HashMap::new(), requested: HashSet::new() }
+    }
+}
+
+impl<M: Message> ChainSync<M> {
+    /// Parks `msg` (received from `from`) until block `missing` arrives.
+    pub fn park(&mut self, missing: Digest, from: NodeId, msg: M) {
+        self.orphans.entry(missing).or_default().push((from, msg));
+    }
+
+    /// Whether node `me` should ask `from` for block `want`: never
+    /// itself, and each block once.
+    pub fn should_request(&mut self, want: Digest, from: NodeId, me: NodeId) -> bool {
+        from != me && self.requested.insert(want)
+    }
+
+    /// Whether `blocks` is a chain suffix this store can adopt:
+    /// non-empty, hash-linked oldest first, and rooted in a block
+    /// already held.
+    pub fn is_linked_suffix(&self, blocks: &[Block]) -> bool {
+        blocks.first().is_some_and(|first| self.store.contains(&first.parent))
+            && blocks.windows(2).all(|w| w[1].parent == w[0].id())
+    }
+
+    /// Stores `blocks`, charging one hash per block, and returns the
+    /// parked messages they unblock, in arrival order.
+    pub fn ingest<T: Clone + std::fmt::Debug>(
+        &mut self,
+        blocks: Vec<Block>,
+        ctx: &mut Context<'_, M, T>,
+    ) -> Vec<(NodeId, M)> {
+        let mut unblocked = Vec::new();
+        for block in blocks {
+            ctx.meter().charge_hash(block.wire_size());
+            let id = self.store.insert(block);
+            self.requested.remove(&id);
+            if let Some(waiting) = self.orphans.remove(&id) {
+                unblocked.extend(waiting);
+            }
+        }
+        unblocked
+    }
 }
 
 #[cfg(test)]
@@ -719,5 +799,78 @@ mod tests {
         let id2 = store.insert(b);
         assert_eq!(id1, id2);
         assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn committed_suffix_is_oldest_first_above_the_height_and_capped() {
+        let mut store = BlockStore::new();
+        let ids = chain(&mut store, 6);
+        let suffix = |above, cap| -> Vec<Digest> {
+            store.committed_suffix(&ids[6], above, cap).iter().map(Block::id).collect()
+        };
+        assert_eq!(suffix(2, 256), ids[3..].to_vec());
+        assert_eq!(suffix(2, 2), ids[5..].to_vec(), "the cap keeps the blocks nearest the tip");
+        assert!(suffix(6, 256).is_empty(), "nothing above the tip");
+    }
+
+    #[derive(Debug, Clone)]
+    enum Note {
+        Waiting(u8),
+        Blocks(Vec<Block>),
+    }
+
+    impl Message for Note {
+        fn wire_size(&self) -> usize {
+            8
+        }
+        fn flood_key(&self) -> u64 {
+            0
+        }
+    }
+
+    struct Syncer {
+        sync: ChainSync<Note>,
+        released: Vec<(NodeId, u8)>,
+    }
+
+    impl eesmr_net::Actor for Syncer {
+        type Msg = Note;
+        type Timer = ();
+
+        fn on_message(&mut self, _: NodeId, note: Note, ctx: &mut Context<'_, Note, ()>) {
+            if let Note::Blocks(blocks) = note {
+                for (from, parked) in self.sync.ingest(blocks, ctx) {
+                    if let Note::Waiting(x) = parked {
+                        self.released.push((from, x));
+                    }
+                }
+            }
+        }
+
+        fn on_timer(&mut self, _: (), _: &mut Context<'_, Note, ()>) {}
+    }
+
+    #[test]
+    fn chain_sync_dedups_requests_checks_links_and_releases_orphans() {
+        let mut peer = BlockStore::new();
+        let ids = chain(&mut peer, 3);
+        let blocks: Vec<Block> = ids[1..].iter().map(|id| peer.get(id).unwrap().clone()).collect();
+        let mut h = eesmr_net::harness::Harness::new(
+            0,
+            Syncer { sync: ChainSync::default(), released: Vec::new() },
+        );
+        let sync = &mut h.actor_mut().sync;
+        assert!(sync.should_request(ids[2], 1, 0));
+        assert!(!sync.should_request(ids[2], 1, 0), "each block is requested once");
+        assert!(!sync.should_request(ids[3], 0, 0), "never from itself");
+        sync.park(ids[2], 4, Note::Waiting(7));
+        assert!(sync.is_linked_suffix(&blocks));
+        assert!(!sync.is_linked_suffix(&blocks[1..]), "not rooted in a held block");
+        assert!(!sync.is_linked_suffix(&[blocks[0].clone(), blocks[2].clone()]), "a gap");
+        assert!(!sync.is_linked_suffix(&[]));
+        h.deliver(1, Note::Blocks(blocks));
+        assert_eq!(h.actor().released, vec![(4, 7)], "the orphan is released once");
+        assert!(h.actor().sync.store.contains(&ids[3]));
+        assert!(h.actor_mut().sync.should_request(ids[2], 1, 0), "held blocks leave the dedup set");
     }
 }

@@ -44,13 +44,13 @@ pub mod txpool;
 mod view_change;
 
 pub use block::{
-    deep_clone_spine, set_deep_clone_spine, Block, BlockData, BlockStore, ChainRelation, Command,
-    Commands, Lineage,
+    deep_clone_spine, set_deep_clone_spine, Block, BlockData, BlockStore, ChainRelation, ChainSync,
+    Command, Commands, Lineage,
 };
 pub use broadcast::{build_bb_nodes, BbNode, BbOutput};
 pub use config::{BatchPolicy, Config, FaultMode, LeaderPolicy, Pacing};
 pub use message::{CertifiedBlock, MsgKind, Payload, QuorumCert, SignedBlock, SignedMsg, Status};
 pub use metrics::Metrics;
 pub use replica::{Replica, TimerToken};
-pub use txpool::{AdaptiveBatcher, TxPool, WorkloadSource};
+pub use txpool::{AdaptiveBatcher, ClientPath, TxPool, WorkloadSource};
 pub use view_change::build_replicas;

@@ -26,11 +26,11 @@ use eesmr_net::{
     Actor, ActorGauges, Context, NodeId, SimTime, TimerId, TraceClass, TraceEventKind,
 };
 
-use crate::block::{Block, BlockStore, Command};
+use crate::block::{Block, ChainSync, Command};
 use crate::config::{Config, FaultMode, Pacing};
 use crate::message::{CertifiedBlock, Payload, QuorumCert, SignedMsg};
 use crate::metrics::Metrics;
-use crate::txpool::{AdaptiveBatcher, TxPool, WorkloadSource};
+use crate::txpool::{ClientPath, WorkloadSource};
 
 /// Timer tokens (all carry the view they were armed in; stale timers are
 /// ignored).
@@ -129,14 +129,12 @@ pub struct Replica {
     // Book-keeping variables (§3.1).
     pub(crate) v_cur: u64,
     pub(crate) r_cur: u64,
-    pub(crate) store: BlockStore,
+    pub(crate) chain: ChainSync<SignedMsg>,
     pub(crate) b_lock: Digest,
     pub(crate) b_lock_height: u64,
     pub(crate) b_com: Digest,
     pub(crate) b_com_height: u64,
-    pub(crate) txpool: TxPool,
-    pub(crate) batcher: AdaptiveBatcher,
-    pub(crate) workload: Option<Box<dyn WorkloadSource>>,
+    pub(crate) client: ClientPath,
 
     // Steady state.
     pub(crate) proposals_seen: HashMap<(u64, u64), (Digest, SignedMsg)>,
@@ -146,8 +144,6 @@ pub struct Replica {
     pub(crate) outstanding: usize,
     pub(crate) want_propose: bool,
     pub(crate) first_seen: HashMap<Digest, SimTime>,
-    pub(crate) forward_flush_armed: bool,
-    pub(crate) forward_retry_armed: bool,
 
     // Blame / view change.
     pub(crate) blames: BTreeMap<NodeId, Signature>,
@@ -157,8 +153,6 @@ pub struct Replica {
 
     // Buffers.
     pub(crate) future_views: Vec<(NodeId, SignedMsg)>,
-    pub(crate) orphans: HashMap<Digest, Vec<(NodeId, SignedMsg)>>,
-    pub(crate) sync_requested: HashSet<Digest>,
 
     // Outputs.
     pub(crate) committed_log: Vec<Digest>,
@@ -187,10 +181,9 @@ impl Replica {
     pub fn new(id: NodeId, config: Config, pki: Arc<KeyStore>, fault: FaultMode) -> Self {
         assert!(pki.n() >= config.n, "key store must cover all nodes");
         assert!(config.check_fault_bound(), "EESMR requires f < n/2");
-        let store = BlockStore::new();
-        let genesis = store.genesis_id();
-        let payload = config.payload_bytes;
-        let offered = config.offered_load;
+        let chain = ChainSync::default();
+        let genesis = chain.store.genesis_id();
+        let client = ClientPath::new(config.payload_bytes, config.offered_load);
         Replica {
             id,
             config,
@@ -198,14 +191,12 @@ impl Replica {
             fault,
             v_cur: 1,
             r_cur: 3,
-            store,
+            chain,
             b_lock: genesis,
             b_lock_height: 0,
             b_com: genesis,
             b_com_height: 0,
-            txpool: TxPool::synthetic(payload).with_offered_load(offered),
-            batcher: AdaptiveBatcher::new(),
-            workload: None,
+            client,
             proposals_seen: HashMap::new(),
             relayed: HashSet::new(),
             commit_timers: Vec::new(),
@@ -213,15 +204,11 @@ impl Replica {
             outstanding: 0,
             want_propose: false,
             first_seen: HashMap::new(),
-            forward_flush_armed: false,
-            forward_retry_armed: false,
             blames: BTreeMap::new(),
             view_aborted: false,
             vc: VcState::default(),
             nv: NewViewState::default(),
             future_views: Vec::new(),
-            orphans: HashMap::new(),
-            sync_requested: HashSet::new(),
             committed_log: Vec::new(),
             metrics: Metrics::default(),
         }
@@ -263,32 +250,23 @@ impl Replica {
 
     /// Looks up a block (committed or not).
     pub fn block(&self, id: &Digest) -> Option<&Block> {
-        self.store.get(id)
+        self.chain.store.get(id)
     }
 
     /// Queues a client command for inclusion in a future block.
     pub fn submit(&mut self, cmd: Command) {
-        self.txpool.submit(cmd);
+        self.client.submit([cmd]);
     }
 
-    /// Attaches a client-workload stream: the replica schedules its
-    /// arrival events as first-class timers, injects each transaction
-    /// with a birth timestamp, and disables the pool's synthetic
-    /// fallback (the workload *replaces* the `offered_load` knob).
+    /// Attaches a client-workload stream (see
+    /// [`ClientPath::attach_workload`]).
     pub fn attach_workload(&mut self, source: Box<dyn WorkloadSource>) {
-        self.txpool.client_only();
-        self.workload = Some(source);
+        self.client.attach_workload(source);
     }
 
-    /// Histogram of end-to-end (birth → local commit) latencies of
-    /// workload transactions injected at this node, in microseconds.
-    pub fn tx_latencies(&self) -> &eesmr_trace::hist::LogHistogram {
-        self.txpool.tx_latencies()
-    }
-
-    /// High-water mark of the pending-command backlog over the run.
-    pub fn peak_backlog(&self) -> usize {
-        self.txpool.peak_backlog()
+    /// The client path: pool, workload and forwarding state.
+    pub fn client(&self) -> &ClientPath {
+        &self.client
     }
 
     /// The configuration.
@@ -376,7 +354,7 @@ impl Replica {
     pub(crate) fn chain_gap(&self, from_block: &Digest) -> Option<Digest> {
         let mut cur = *from_block;
         loop {
-            match self.store.get(&cur) {
+            match self.chain.store.get(&cur) {
                 Some(b) if b.height == 0 => return None,
                 Some(b) => cur = b.parent,
                 None => return Some(cur),
@@ -386,7 +364,7 @@ impl Replica {
 
     /// Requests a missing block from `from` (chain synchronization, §3.2).
     pub(crate) fn request_sync(&mut self, want: Digest, from: NodeId, ctx: &mut Ctx<'_>) {
-        if from == self.id || !self.sync_requested.insert(want) {
+        if !self.chain.should_request(want, from, self.id) {
             return;
         }
         self.metrics.sync_requests += 1;
@@ -398,133 +376,75 @@ impl Replica {
     // Client workload arrivals.
     // ------------------------------------------------------------------
 
-    /// Arms the first arrival timer if a workload stream is attached
-    /// (called from `on_start`).
-    pub(crate) fn schedule_first_arrival(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(source) = &mut self.workload {
-            if let Some(delay) = source.next_arrival_in(ctx.now().as_micros()) {
-                ctx.set_timer(eesmr_net::SimDuration::from_micros(delay), TimerToken::Arrival);
-            }
-        }
-    }
-
-    /// One arrival event: inject the transaction (unless the closed-loop
-    /// bound suppresses it), re-arm the next arrival, and either propose
-    /// the fresh backlog (leader) or forward it to whoever can
-    /// (everyone else).
+    /// One arrival event: inject the transaction, re-arm the next
+    /// arrival, and either propose the fresh backlog (leader) or forward
+    /// it to whoever can (everyone else).
     pub(crate) fn on_arrival(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(source) = &mut self.workload else { return };
-        let now_us = ctx.now().as_micros();
-        let traced = ctx.traces(TraceClass::Commit);
-        let delay = self.txpool.drive_arrival(source.as_mut(), &mut self.metrics, now_us, |cmd| {
-            if traced {
-                ctx.trace(TraceEventKind::TxInject { tx: cmd.fingerprint() });
-            }
-        });
-        if let Some(delay) = delay {
-            ctx.set_timer(eesmr_net::SimDuration::from_micros(delay), TimerToken::Arrival);
-        }
+        self.client.on_arrival(&mut self.metrics, ctx, TimerToken::Arrival);
         self.try_propose(ctx);
         self.maybe_forward_backlog(ctx);
     }
 
-    /// Forward batching: flush the backlog immediately once it holds
-    /// [`Config::forward_batch`] commands; below the threshold, hold the
-    /// commands and arm a Δ flush timer instead, so several arrivals
-    /// share one signed forward flood. With `forward_batch ≤ 1` this
-    /// degenerates to the historical forward-per-arrival behaviour.
+    /// Whether this node relays client commands to the leader right now:
+    /// it is a live non-leader in a view that is not being quit.
+    fn may_forward(&self) -> bool {
+        !self.is_leader() && self.active() && !self.view_aborted
+    }
+
+    /// Forward batching (see [`ClientPath::forward_due`] and
+    /// [`Config::forward_batch`]): forward now, or wait for the
+    /// threshold or the Δ flush timer.
     pub(crate) fn maybe_forward_backlog(&mut self, ctx: &mut Ctx<'_>) {
-        if self.is_leader() || !self.active() || self.view_aborted || self.txpool.is_empty() {
-            return;
-        }
-        if self.config.forward_batch <= 1 || self.txpool.backlog() >= self.config.forward_batch {
+        if self.may_forward()
+            && self.client.forward_due(
+                self.config.forward_batch,
+                self.config.delta,
+                ctx,
+                TimerToken::ForwardFlush,
+            )
+        {
             self.forward_backlog(ctx);
-        } else if !self.forward_flush_armed {
-            self.forward_flush_armed = true;
-            ctx.set_timer(self.config.delta, TimerToken::ForwardFlush);
         }
     }
 
     /// Command forwarding: a node that is not the current proposer
     /// relays its queued client commands to the leader, so closed-loop
-    /// workloads cannot strand a transaction at a node that never leads
-    /// (the `tx_committed` column used to expose exactly that). Births
-    /// stay here — latency settles at the origin when the block commits
-    /// — and a view change re-queues anything the dead leader dropped,
-    /// so the commands are re-forwarded to its successor.
+    /// workloads cannot strand a transaction at a node that never leads.
+    /// No workload gate: a node may also hold commands *forwarded to it*
+    /// while it led a view that has since ended — those must be
+    /// re-routed to the current leader too. Synthetic pools never queue
+    /// commands, so non-workload runs stay forward-free.
     pub(crate) fn forward_backlog(&mut self, ctx: &mut Ctx<'_>) {
-        // No workload gate: a node may also hold commands *forwarded to
-        // it* while it led a view that has since ended — those must be
-        // re-routed to the current leader too, or they strand here.
-        // Synthetic pools never populate `pending`, so non-workload
-        // runs stay forward-free.
-        if self.is_leader() || !self.active() || self.view_aborted || self.txpool.is_empty() {
+        if !self.may_forward() {
             return;
         }
-        let commands = self.txpool.take_pending();
-        self.metrics.tx_forwarded += commands.len() as u64;
         let leader = self.config.leader_of(self.v_cur);
-        if ctx.traces(TraceClass::Commit) {
-            for cmd in &commands {
-                ctx.trace(TraceEventKind::TxForward { tx: cmd.fingerprint(), leader });
-            }
-        }
-        let msg = self.sign(Payload::Forward { commands: commands.into() }, ctx);
-        ctx.send_to(leader, msg);
-        self.arm_forward_retry(ctx);
-    }
-
-    /// How long a forwarded command may stay unresolved before the
-    /// origin re-forwards it: well past the healthy commit path (a 4Δ
-    /// commit timer plus flooding hops) *and* past a full view change —
-    /// ages are measured from birth, and a command born just before a
-    /// blame quorum rides the quit/status/new-view sequence before its
-    /// re-forward can even land — so live runs never retry. But it is
-    /// bounded, so a partition that swallowed the forward heals into
-    /// re-delivery instead of a stranded client.
-    pub(crate) const FORWARD_RETRY_MULTIPLE: u64 = 32;
-
-    /// Arms the retry timer if any birth-tracked command is unresolved
-    /// and no retry is already pending, scheduled for the instant the
-    /// earliest unresolved command becomes retry-eligible (its age
-    /// crosses the window, or its per-command cooldown from a previous
-    /// retry expires). A fixed 32Δ period would let a command born just
-    /// after a fire sit unresolved for almost two full windows — long
-    /// enough to strand a closed-loop injector past a partition heal.
-    /// Node-local state only — the timer's schedule depends on nothing
-    /// a shard boundary could reorder.
-    pub(crate) fn arm_forward_retry(&mut self, ctx: &mut Ctx<'_>) {
-        if self.forward_retry_armed {
-            return;
-        }
-        let window_us = self.config.delta.as_micros() * Self::FORWARD_RETRY_MULTIPLE;
-        let Some(due_us) = self.txpool.next_retry_due_us(window_us) else {
+        let Some(commands) = self.client.take_forward(leader, &mut self.metrics, ctx) else {
             return;
         };
-        let delay_us = due_us.saturating_sub(ctx.now().as_micros()).max(1);
-        self.forward_retry_armed = true;
-        ctx.set_timer(eesmr_net::SimDuration::from_micros(delay_us), TimerToken::ForwardRetry);
+        let msg = self.sign(Payload::Forward { commands: commands.into() }, ctx);
+        ctx.send_to(leader, msg);
+        self.client.arm_retry(self.config.delta, ctx, TimerToken::ForwardRetry);
     }
 
     /// The retry timer: requeue commands that have been unresolved for a
-    /// full retry window (younger in-flight commands are presumed to be
-    /// riding a block toward commit) and forward them to the current
-    /// leader again. Re-arms itself while anything is still in flight.
+    /// full retry window and forward them to the current leader again
+    /// (a forward flood is fire-and-forget, so a partition can swallow
+    /// it without any view change to re-queue it). Re-arms itself while
+    /// anything is still in flight.
     pub(crate) fn on_forward_retry(&mut self, ctx: &mut Ctx<'_>) {
-        self.forward_retry_armed = false;
+        self.client.retry_fired();
         if !self.active() || self.view_aborted {
             return;
         }
-        let age_us = self.config.delta.as_micros() * Self::FORWARD_RETRY_MULTIPLE;
-        if self.txpool.requeue_stale(ctx.now().as_micros(), age_us) {
-            self.metrics.forward_retries += 1;
+        if self.client.retry_stale(self.config.delta, ctx.now(), &mut self.metrics) {
             if self.is_leader() {
                 self.try_propose(ctx);
             } else {
                 self.forward_backlog(ctx);
             }
         }
-        self.arm_forward_retry(ctx);
+        self.client.arm_retry(self.config.delta, ctx, TimerToken::ForwardRetry);
     }
 
     /// Receives forwarded client commands: queue them and, if this node
@@ -538,9 +458,7 @@ impl Replica {
             return;
         }
         let Payload::Forward { commands } = &msg.payload else { return };
-        for cmd in commands.iter().cloned() {
-            self.txpool.submit(cmd);
-        }
+        self.client.submit(commands.iter().cloned());
         if self.is_leader() {
             self.try_propose(ctx);
         } else {
@@ -568,10 +486,13 @@ impl Replica {
         }
         self.want_propose = false;
         let round = self.r_cur;
-        let parent =
-            self.store.get(&self.b_lock).expect("locked block is always present locally").clone();
-        let want = self.batcher.next_size(self.txpool.backlog(), self.config.batch_policy);
-        let batch = self.txpool.next_batch(want);
+        let parent = self
+            .chain
+            .store
+            .get(&self.b_lock)
+            .expect("locked block is always present locally")
+            .clone();
+        let batch = self.client.cut_batch(self.config.batch_policy);
         self.metrics.record_batch_fill(batch.len(), self.config.batch_policy.max_size());
         let block = Block::extending(&parent, self.v_cur, round, batch);
         ctx.meter().charge_hash(block.wire_size());
@@ -582,7 +503,7 @@ impl Replica {
             }
             ctx.trace(TraceEventKind::Propose { block: block_fp, view: self.v_cur, round });
         }
-        self.store.insert(block.clone());
+        self.chain.store.insert(block.clone());
         let msg = self.sign(Payload::Propose { block: block.clone(), round, justify: None }, ctx);
         self.relayed.insert(block.id());
         ctx.multicast(msg);
@@ -596,7 +517,7 @@ impl Replica {
                     round,
                     vec![Command::synthetic(u64::MAX, self.config.payload_bytes)],
                 );
-                self.store.insert(twin.clone());
+                self.chain.store.insert(twin.clone());
                 let twin_msg =
                     self.sign(Payload::Propose { block: twin, round, justify: None }, ctx);
                 ctx.multicast(twin_msg);
@@ -678,16 +599,16 @@ impl Replica {
             self.metrics.proposals_rejected += 1;
             return; // steady proposals carry no certificate
         }
-        if !self.store.contains(&block.parent) {
+        if !self.chain.store.contains(&block.parent) {
             let parent = block.parent;
-            self.orphans.entry(parent).or_default().push((from, msg));
+            self.chain.park(parent, from, msg);
             self.request_sync(parent, from, ctx);
             return;
         }
         // LockCompare (line 121): only accept extensions of the lock.
         let block = block.clone();
-        self.store.insert(block.clone());
-        if !self.store.extends(&block_id, &self.b_lock) {
+        self.chain.store.insert(block.clone());
+        if !self.chain.store.extends(&block_id, &self.b_lock) {
             self.metrics.proposals_rejected += 1;
             return;
         }
@@ -753,11 +674,11 @@ impl Replica {
     /// Commits `block_id` and all uncommitted ancestors.
     pub(crate) fn commit_block(&mut self, block_id: Digest, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let Some(block) = self.store.get(&block_id) else { return };
+        let Some(block) = self.chain.store.get(&block_id) else { return };
         if block.height <= self.b_com_height {
             return; // already covered
         }
-        let Some(segment) = self.store.segment(&self.b_com, &block_id) else {
+        let Some(segment) = self.chain.store.segment(&self.b_com, &block_id) else {
             // Gap or fork relative to B_com — cannot happen for correct
             // replicas (commit safety); refuse rather than fork.
             return;
@@ -768,17 +689,17 @@ impl Replica {
             if let Some(seen) = self.first_seen.remove(&id) {
                 self.metrics.record_commit_latency(now.since(seen));
             }
-            let block = self.store.get(&id).expect("segment blocks are stored").clone();
+            let block = self.chain.store.get(&id).expect("segment blocks are stored").clone();
             if ctx.traces(TraceClass::Commit) {
                 ctx.trace(TraceEventKind::Commit {
                     block: crate::block::fingerprint(&id),
                     height: block.height,
                 });
             }
-            self.txpool.remove_committed(&block, now);
+            self.client.settle(&block, now);
         }
         self.b_com = block_id;
-        self.b_com_height = self.store.get(&block_id).expect("committed block stored").height;
+        self.b_com_height = self.chain.store.get(&block_id).expect("committed block stored").height;
         self.metrics.committed_height = self.b_com_height;
     }
 
@@ -791,7 +712,8 @@ impl Replica {
         if !self.verify_envelope(&msg, ctx) {
             return;
         }
-        let blocks: Vec<Block> = self.store.ancestors(want, 256).into_iter().cloned().collect();
+        let blocks: Vec<Block> =
+            self.chain.store.ancestors(want, 256).into_iter().cloned().collect();
         if blocks.is_empty() {
             return;
         }
@@ -802,16 +724,7 @@ impl Replica {
     pub(crate) fn on_sync_response(&mut self, _from: NodeId, msg: SignedMsg, ctx: &mut Ctx<'_>) {
         let Payload::SyncResponse { blocks } = msg.payload else { return };
         // Blocks are self-certifying (hash-linked); no signature needed.
-        let mut unblocked = Vec::new();
-        for block in blocks {
-            ctx.meter().charge_hash(block.wire_size());
-            let id = self.store.insert(block);
-            self.sync_requested.remove(&id);
-            if let Some(waiting) = self.orphans.remove(&id) {
-                unblocked.extend(waiting);
-            }
-        }
-        for (from, orphan_msg) in unblocked {
+        for (from, orphan_msg) in self.chain.ingest(blocks, ctx) {
             self.on_message(from, orphan_msg, ctx);
         }
     }
@@ -833,11 +746,9 @@ impl Replica {
     pub(crate) fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
         self.cancel_commit_timers(ctx);
         self.want_propose = false;
-        self.forward_flush_armed = false;
-        self.forward_retry_armed = false;
         let m = self.steady_blame_multiple();
         self.reset_blame_timer(m, ctx);
-        self.schedule_first_arrival(ctx);
+        self.client.restart(ctx, TimerToken::Arrival);
         self.metrics.repair_requests += 1;
         let msg = self.sign(Payload::Repair { from_height: self.b_com_height }, ctx);
         ctx.flood(msg);
@@ -850,18 +761,7 @@ impl Replica {
         if !self.verify_envelope(&msg, ctx) || self.b_com_height <= from_height {
             return;
         }
-        // Walk the committed chain down to the requested height, capped
-        // like chain sync; a still-lagging requester re-requests.
-        let mut blocks = Vec::new();
-        let mut cur = self.b_com;
-        while let Some(b) = self.store.get(&cur) {
-            if b.height <= from_height || blocks.len() >= 256 {
-                break;
-            }
-            blocks.push(b.clone());
-            cur = b.parent;
-        }
-        blocks.reverse();
+        let blocks = self.chain.store.committed_suffix(&self.b_com, from_height, 256);
         if blocks.is_empty() {
             return;
         }
@@ -876,22 +776,11 @@ impl Replica {
         let Payload::RepairReply { blocks, view } = msg.payload else { return };
         // The suffix is self-certifying: hash-linked, oldest first, and
         // rooted in a block we already hold. Reject anything else.
-        let Some(first) = blocks.first() else { return };
-        if !self.store.contains(&first.parent)
-            || blocks.windows(2).any(|w| w[1].parent != w[0].id())
-        {
+        if !self.chain.is_linked_suffix(&blocks) {
             return;
         }
         let tip = blocks.last().expect("non-empty").clone();
-        let mut unblocked = Vec::new();
-        for block in blocks {
-            ctx.meter().charge_hash(block.wire_size());
-            let id = self.store.insert(block);
-            self.sync_requested.remove(&id);
-            if let Some(waiting) = self.orphans.remove(&id) {
-                unblocked.extend(waiting);
-            }
-        }
+        let unblocked = self.chain.ingest(blocks, ctx);
         let tip_id = tip.id();
         self.commit_block(tip_id, ctx);
         if tip.height > self.b_lock_height {
@@ -919,7 +808,7 @@ impl Replica {
         self.nv = Default::default();
         self.want_propose = false;
         self.cancel_commit_timers(ctx);
-        self.txpool.requeue_unresolved();
+        self.client.requeue_unresolved();
         let m = self.steady_blame_multiple();
         self.reset_blame_timer(m, ctx);
         self.forward_backlog(ctx);
@@ -943,7 +832,7 @@ impl Actor for Replica {
         }
         let m = self.steady_blame_multiple();
         self.reset_blame_timer(m, ctx);
-        self.schedule_first_arrival(ctx);
+        self.client.start(ctx, TimerToken::Arrival);
         self.try_propose(ctx);
     }
 
@@ -985,7 +874,7 @@ impl Actor for Replica {
             TimerToken::LeaderStatus { view } => self.on_leader_status(view, ctx),
             TimerToken::Arrival => self.on_arrival(ctx),
             TimerToken::ForwardFlush => {
-                self.forward_flush_armed = false;
+                self.client.flush_fired();
                 self.forward_backlog(ctx);
             }
             TimerToken::ForwardRetry => self.on_forward_retry(ctx),
@@ -994,15 +883,6 @@ impl Actor for Replica {
     }
 
     fn gauges(&self) -> ActorGauges {
-        // Every value is read from this replica's own state, so the
-        // sampled series is invariant across shard/worker/scheduler
-        // choices (the telemetry determinism contract).
-        ActorGauges {
-            tx_in_flight: self.txpool.in_flight() as u64,
-            pool_backlog: self.txpool.backlog() as u64,
-            forward_retries: self.metrics.forward_retries,
-            batch_fill_pct: self.metrics.last_batch_fill_pct as f64,
-            view: self.v_cur,
-        }
+        self.client.gauges(&self.metrics, self.v_cur)
     }
 }

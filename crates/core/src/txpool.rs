@@ -6,8 +6,11 @@
 //! txpool." (§3)
 
 use std::collections::{HashSet, VecDeque};
+use std::fmt::Debug;
 
-use eesmr_net::SimTime;
+use eesmr_net::{
+    ActorGauges, Context, Message, NodeId, SimDuration, SimTime, TraceClass, TraceEventKind,
+};
 use eesmr_trace::hist::LogHistogram;
 
 use crate::block::{Block, Command};
@@ -19,7 +22,7 @@ use crate::metrics::Metrics;
 /// implementations: arrival processes × per-node skew × payload
 /// distributions × open/closed-loop injection).
 ///
-/// The replica's contract: on start it asks for the first delay via
+/// The replica's contract (kept by [`ClientPath`]): on start it asks for the first delay via
 /// [`next_arrival_in`](WorkloadSource::next_arrival_in) and arms an
 /// arrival timer; when the timer fires it calls
 /// [`arrival`](WorkloadSource::arrival) with its current in-flight count
@@ -133,30 +136,6 @@ impl TxPool {
         self.births.len()
     }
 
-    /// Runs one arrival event from `source` against this pool: injects
-    /// the transaction it yields (unless the closed-loop bound
-    /// suppresses it), counts it in `metrics`, reports it to
-    /// `on_inject` (the tracing hook — protocols emit their `TxInject`
-    /// event there), and returns the delay until the source's next
-    /// arrival event, if any. Every protocol's arrival handler funnels
-    /// through this, so the inject/count/trace/re-arm sequence cannot
-    /// drift between them — the caller only arms its own timer token
-    /// with the returned delay.
-    pub fn drive_arrival(
-        &mut self,
-        source: &mut dyn WorkloadSource,
-        metrics: &mut Metrics,
-        now_us: u64,
-        mut on_inject: impl FnMut(&Command),
-    ) -> Option<u64> {
-        if let Some(cmd) = source.arrival(now_us, self.in_flight()) {
-            metrics.tx_injected += 1;
-            on_inject(&cmd);
-            self.submit_at(cmd, now_us);
-        }
-        source.next_arrival_in(now_us)
-    }
-
     /// Histogram of end-to-end (birth → local commit) latencies of this
     /// node's committed workload transactions, in microseconds.
     pub fn tx_latencies(&self) -> &LogHistogram {
@@ -201,7 +180,7 @@ impl TxPool {
     /// in-flight set — or `None` when nothing is in flight. The
     /// forward-retry timer schedules its next fire for exactly this
     /// instant.
-    pub fn next_retry_due_us(&self, window_us: u64) -> Option<u64> {
+    pub(crate) fn next_retry_due_us(&self, window_us: u64) -> Option<u64> {
         if self.births.is_empty() {
             return None;
         }
@@ -220,7 +199,7 @@ impl TxPool {
     /// Returns whether anything was restored. Used by the forward-retry
     /// timer: a fire-and-forget forward swallowed by a partition has no
     /// view change to rescue it, so age is the only stranding signal.
-    pub fn requeue_stale(&mut self, now_us: u64, age_us: u64) -> bool {
+    pub(crate) fn requeue_stale(&mut self, now_us: u64, age_us: u64) -> bool {
         let mut lost: Vec<Command> = Vec::new();
         {
             let pending: HashSet<&Command> = self.pending.iter().collect();
@@ -244,7 +223,7 @@ impl TxPool {
     /// the block carrying it commits — and if the proposer's view dies
     /// first, [`requeue_unresolved`](TxPool::requeue_unresolved) puts
     /// the command back for re-forwarding to the next leader.
-    pub fn take_pending(&mut self) -> Vec<Command> {
+    pub(crate) fn take_pending(&mut self) -> Vec<Command> {
         self.pending.drain(..).collect()
     }
 
@@ -383,10 +362,254 @@ impl AdaptiveBatcher {
     }
 }
 
+/// The client side of a replica, shared by every protocol: the pending
+/// pool, the batch controller and the workload stream, plus the
+/// arrival, forward-flush and forward-retry timers that move client
+/// commands toward the proposer.
+///
+/// The protocol keeps what differs: who leads, whether the node may
+/// forward right now, and how a message is signed and sent. Methods that
+/// arm a timer take the protocol's own token (`Context` is generic over
+/// it), so the sequence of pool updates, counters, traces and timer arms
+/// is written once and cannot drift between protocols.
+pub struct ClientPath {
+    pool: TxPool,
+    batcher: AdaptiveBatcher,
+    workload: Option<Box<dyn WorkloadSource>>,
+    /// A forward-flush timer is pending (at most one at a time).
+    flush_armed: bool,
+    /// A forward-retry timer is pending (at most one at a time).
+    retry_armed: bool,
+}
+
+impl ClientPath {
+    /// How long a forwarded command may stay unresolved, in Δ, before
+    /// the origin re-forwards it: well past the healthy commit path (a
+    /// 4Δ commit timer plus flooding hops) *and* past a full view change
+    /// (ages count from birth, and a command born just before a blame
+    /// quorum rides the whole quit/status/new-view sequence), so live
+    /// runs never retry; but bounded, so a partition that swallowed the
+    /// forward heals into re-delivery instead of a stranded client.
+    pub const FORWARD_RETRY_MULTIPLE: u64 = 32;
+
+    /// A path whose pool synthesizes `offered_load` commands of
+    /// `payload_bytes` bytes per batch until a workload is attached.
+    pub fn new(payload_bytes: usize, offered_load: usize) -> Self {
+        ClientPath {
+            pool: TxPool::synthetic(payload_bytes).with_offered_load(offered_load),
+            batcher: AdaptiveBatcher::new(),
+            workload: None,
+            flush_armed: false,
+            retry_armed: false,
+        }
+    }
+
+    /// Attaches a client-workload stream: arrivals become timer events,
+    /// each transaction is injected with a birth timestamp, and the
+    /// pool's synthetic fallback is off (the workload *replaces* the
+    /// `offered_load` knob).
+    pub fn attach_workload(&mut self, source: Box<dyn WorkloadSource>) {
+        self.pool.client_only();
+        self.workload = Some(source);
+    }
+
+    /// Whether a workload stream is attached.
+    pub fn has_workload(&self) -> bool {
+        self.workload.is_some()
+    }
+
+    /// End-to-end (birth → local commit) latencies of the workload
+    /// transactions injected at this node, µs.
+    pub fn tx_latencies(&self) -> &LogHistogram {
+        self.pool.tx_latencies()
+    }
+
+    /// High-water mark of the pending-command backlog over the run.
+    pub fn peak_backlog(&self) -> usize {
+        self.pool.peak_backlog()
+    }
+
+    /// The telemetry gauges. Every value is node-local, so the sampled
+    /// series is invariant across shard, worker and scheduler choices.
+    pub fn gauges(&self, metrics: &Metrics, view: u64) -> ActorGauges {
+        ActorGauges {
+            tx_in_flight: self.pool.in_flight() as u64,
+            pool_backlog: self.pool.backlog() as u64,
+            forward_retries: metrics.forward_retries,
+            batch_fill_pct: metrics.last_batch_fill_pct as f64,
+            view,
+        }
+    }
+
+    /// Queues client commands: submitted here, or forwarded by a peer.
+    pub fn submit(&mut self, commands: impl IntoIterator<Item = Command>) {
+        for cmd in commands {
+            self.pool.submit(cmd);
+        }
+    }
+
+    /// Settles the commands `block` carried ([`TxPool::remove_committed`]).
+    pub fn settle(&mut self, block: &Block, now: SimTime) {
+        self.pool.remove_committed(block, now);
+    }
+
+    /// Re-queues what a dead view dropped ([`TxPool::requeue_unresolved`]).
+    pub fn requeue_unresolved(&mut self) {
+        self.pool.requeue_unresolved();
+    }
+
+    /// Cuts the next proposal batch, sized by `policy` against the backlog.
+    pub fn cut_batch(&mut self, policy: BatchPolicy) -> Vec<Command> {
+        let want = self.batcher.next_size(self.pool.backlog(), policy);
+        self.pool.next_batch(want)
+    }
+
+    /// Arms the first arrival timer, if a workload stream is attached.
+    pub fn start<M: Message, T: Clone + Debug>(&mut self, ctx: &mut Context<'_, M, T>, arrival: T) {
+        if let Some(source) = &mut self.workload {
+            if let Some(delay) = source.next_arrival_in(ctx.now().as_micros()) {
+                ctx.set_timer(SimDuration::from_micros(delay), arrival);
+            }
+        }
+    }
+
+    /// Restart after a crash: the forward timers died with the process;
+    /// re-arm the arrival stream.
+    pub fn restart<M: Message, T: Clone + Debug>(
+        &mut self,
+        ctx: &mut Context<'_, M, T>,
+        arrival: T,
+    ) {
+        self.flush_armed = false;
+        self.retry_armed = false;
+        self.start(ctx, arrival);
+    }
+
+    /// One arrival event: injects the source's transaction (unless the
+    /// closed-loop bound suppresses it), counts `tx_injected`, traces
+    /// `TxInject`, and re-arms the arrival timer. The caller then
+    /// proposes or forwards the fresh backlog.
+    pub fn on_arrival<M: Message, T: Clone + Debug>(
+        &mut self,
+        metrics: &mut Metrics,
+        ctx: &mut Context<'_, M, T>,
+        arrival: T,
+    ) {
+        let Some(source) = &mut self.workload else { return };
+        let now_us = ctx.now().as_micros();
+        if let Some(cmd) = source.arrival(now_us, self.pool.in_flight()) {
+            metrics.tx_injected += 1;
+            if ctx.traces(TraceClass::Commit) {
+                ctx.trace(TraceEventKind::TxInject { tx: cmd.fingerprint() });
+            }
+            self.pool.submit_at(cmd, now_us);
+        }
+        if let Some(delay) = source.next_arrival_in(now_us) {
+            ctx.set_timer(SimDuration::from_micros(delay), arrival);
+        }
+    }
+
+    /// Forward batching: whether to forward the backlog now, i.e. it
+    /// holds `threshold` commands (any, if `threshold ≤ 1`). Below the
+    /// threshold it arms one `flush` timer `flush_after` from now, so
+    /// several arrivals share one signed forward and none strand.
+    pub fn forward_due<M: Message, T: Clone + Debug>(
+        &mut self,
+        threshold: usize,
+        flush_after: SimDuration,
+        ctx: &mut Context<'_, M, T>,
+        flush: T,
+    ) -> bool {
+        if self.pool.is_empty() {
+            return false;
+        }
+        if threshold <= 1 || self.pool.backlog() >= threshold {
+            return true;
+        }
+        if !self.flush_armed {
+            self.flush_armed = true;
+            ctx.set_timer(flush_after, flush);
+        }
+        false
+    }
+
+    /// The forward-flush timer fired.
+    pub fn flush_fired(&mut self) {
+        self.flush_armed = false;
+    }
+
+    /// Drains the backlog for the caller to sign and send to `leader`,
+    /// counting `tx_forwarded` and tracing `TxForward`; `None` when
+    /// nothing is queued. Births stay here: latency settles at the
+    /// origin, and a view change re-queues what a dead leader dropped.
+    pub fn take_forward<M: Message, T: Clone + Debug>(
+        &mut self,
+        leader: NodeId,
+        metrics: &mut Metrics,
+        ctx: &mut Context<'_, M, T>,
+    ) -> Option<Vec<Command>> {
+        if self.pool.is_empty() {
+            return None;
+        }
+        let commands = self.pool.take_pending();
+        metrics.tx_forwarded += commands.len() as u64;
+        if ctx.traces(TraceClass::Commit) {
+            for cmd in &commands {
+                ctx.trace(TraceEventKind::TxForward { tx: cmd.fingerprint(), leader });
+            }
+        }
+        Some(commands)
+    }
+
+    /// Arms the forward-retry timer, unless one is pending or nothing is
+    /// unresolved, for the instant the earliest unresolved command turns
+    /// retry-eligible: its age crosses `FORWARD_RETRY_MULTIPLE × delta`,
+    /// or its cooldown from a previous retry ends. (A fixed period would
+    /// let a command born just after a fire wait almost two windows.)
+    pub fn arm_retry<M: Message, T: Clone + Debug>(
+        &mut self,
+        delta: SimDuration,
+        ctx: &mut Context<'_, M, T>,
+        retry: T,
+    ) {
+        if self.retry_armed {
+            return;
+        }
+        let window_us = delta.as_micros() * Self::FORWARD_RETRY_MULTIPLE;
+        let Some(due_us) = self.pool.next_retry_due_us(window_us) else {
+            return;
+        };
+        let delay_us = due_us.saturating_sub(ctx.now().as_micros()).max(1);
+        self.retry_armed = true;
+        ctx.set_timer(SimDuration::from_micros(delay_us), retry);
+    }
+
+    /// The forward-retry timer fired.
+    pub fn retry_fired(&mut self) {
+        self.retry_armed = false;
+    }
+
+    /// Requeues the commands unresolved for a full retry window at `now`
+    /// (younger ones are presumed to be riding a block) and counts
+    /// `forward_retries`. Returns whether anything was restored; the
+    /// caller then proposes or re-forwards it and calls
+    /// [`arm_retry`](ClientPath::arm_retry) again.
+    pub fn retry_stale(&mut self, delta: SimDuration, now: SimTime, metrics: &mut Metrics) -> bool {
+        let age_us = delta.as_micros() * Self::FORWARD_RETRY_MULTIPLE;
+        let restored = self.pool.requeue_stale(now.as_micros(), age_us);
+        if restored {
+            metrics.forward_retries += 1;
+        }
+        restored
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::Block;
+    use eesmr_net::harness::{Harness, Output};
+    use eesmr_net::Actor;
 
     #[test]
     fn submit_then_batch_fifo() {
@@ -606,5 +829,133 @@ mod tests {
         assert_eq!(pool.in_flight(), 0);
         assert_eq!(pool.tx_latencies().count(), 2);
         assert_eq!(pool.tx_latencies().max(), Some(7_000), "birth 2000 → commit 9000");
+    }
+
+    /// One `ClientPath` call per message, made the way a non-leading
+    /// replica makes it.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Call {
+        Submit(u8),
+        ForwardDue { threshold: usize },
+        TakeForward,
+        RetryStale,
+    }
+
+    impl Message for Call {
+        fn wire_size(&self) -> usize {
+            8
+        }
+        fn flood_key(&self) -> u64 {
+            0
+        }
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Tick {
+        Flush,
+        Retry,
+    }
+
+    const DELTA: SimDuration = SimDuration::from_millis(1);
+
+    struct Follower {
+        path: ClientPath,
+        metrics: Metrics,
+        answers: Vec<bool>,
+    }
+
+    impl Actor for Follower {
+        type Msg = Call;
+        type Timer = Tick;
+
+        fn on_message(&mut self, _: NodeId, call: Call, ctx: &mut Context<'_, Call, Tick>) {
+            let answer = match call {
+                Call::Submit(b) => {
+                    self.path.pool.submit_at(Command::new(vec![b]), ctx.now().as_micros());
+                    true
+                }
+                Call::ForwardDue { threshold } => {
+                    self.path.forward_due(threshold, DELTA, ctx, Tick::Flush)
+                }
+                Call::TakeForward => {
+                    let taken = self.path.take_forward(0, &mut self.metrics, ctx).is_some();
+                    self.path.arm_retry(DELTA, ctx, Tick::Retry);
+                    taken
+                }
+                Call::RetryStale => self.path.retry_stale(DELTA, ctx.now(), &mut self.metrics),
+            };
+            self.answers.push(answer);
+        }
+
+        fn on_timer(&mut self, tick: Tick, _: &mut Context<'_, Call, Tick>) {
+            match tick {
+                Tick::Flush => self.path.flush_fired(),
+                Tick::Retry => self.path.retry_fired(),
+            }
+        }
+    }
+
+    fn ask(h: &mut Harness<Follower>, call: Call) -> (bool, Vec<Output<Call, Tick>>) {
+        let out = h.deliver(0, call);
+        (*h.actor().answers.last().unwrap(), out)
+    }
+
+    fn timers(out: &[Output<Call, Tick>]) -> Vec<(SimDuration, Tick)> {
+        out.iter()
+            .filter_map(|o| match o {
+                Output::SetTimer { delay, token, .. } => Some((*delay, token.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn client_path_batches_forwards_behind_one_flush_timer() {
+        let path = ClientPath::new(16, 1);
+        let mut h =
+            Harness::new(1, Follower { path, metrics: Metrics::default(), answers: vec![] });
+        assert_eq!(ask(&mut h, Call::ForwardDue { threshold: 3 }), (false, vec![]), "empty pool");
+        ask(&mut h, Call::Submit(1));
+        let (due, out) = ask(&mut h, Call::ForwardDue { threshold: 3 });
+        assert!(!due, "below the threshold the commands wait");
+        assert_eq!(timers(&out), vec![(DELTA, Tick::Flush)]);
+        ask(&mut h, Call::Submit(2));
+        let (due, out) = ask(&mut h, Call::ForwardDue { threshold: 3 });
+        assert!(!due && out.is_empty(), "one flush timer at a time");
+        ask(&mut h, Call::Submit(3));
+        assert!(ask(&mut h, Call::ForwardDue { threshold: 3 }).0, "threshold reached");
+        assert!(ask(&mut h, Call::ForwardDue { threshold: 1 }).0, "threshold 1 forwards at once");
+        let (taken, out) = ask(&mut h, Call::TakeForward);
+        assert!(taken);
+        assert_eq!(h.actor().metrics.tx_forwarded, 3);
+        assert!(h.actor().path.pool.is_empty(), "the backlog left the pool");
+        assert_eq!(timers(&out), vec![(DELTA * ClientPath::FORWARD_RETRY_MULTIPLE, Tick::Retry)]);
+        assert_eq!(ask(&mut h, Call::TakeForward), (false, vec![]), "nothing left to take");
+        // Once the flush timer fires, a new sub-threshold backlog arms it again.
+        h.fire(Tick::Flush);
+        ask(&mut h, Call::Submit(4));
+        let (_, out) = ask(&mut h, Call::ForwardDue { threshold: 3 });
+        assert_eq!(timers(&out), vec![(DELTA, Tick::Flush)]);
+    }
+
+    #[test]
+    fn client_path_retries_only_commands_older_than_the_window() {
+        let path = ClientPath::new(16, 1);
+        let mut h =
+            Harness::new(1, Follower { path, metrics: Metrics::default(), answers: vec![] });
+        ask(&mut h, Call::Submit(1));
+        ask(&mut h, Call::TakeForward);
+        let window = DELTA * ClientPath::FORWARD_RETRY_MULTIPLE;
+        h.advance(window - DELTA);
+        assert!(!ask(&mut h, Call::RetryStale).0, "still young: presumed committing");
+        h.advance(DELTA);
+        assert!(ask(&mut h, Call::RetryStale).0, "stale: back in the pool");
+        assert_eq!(h.actor().metrics.forward_retries, 1);
+        assert_eq!(h.actor().path.pool.len(), 1);
+        // The retry timer is still armed until it fires.
+        assert!(timers(&ask(&mut h, Call::TakeForward).1).is_empty());
+        h.fire(Tick::Retry);
+        let (_, out) = ask(&mut h, Call::TakeForward);
+        assert_eq!(timers(&out), vec![(window, Tick::Retry)], "the requeue restarted its cooldown");
     }
 }

@@ -175,7 +175,8 @@ impl Replica {
             return;
         }
         // Announce B_com and self-certify it.
-        let block = self.store.get(&self.b_com).expect("highest committed block is stored").clone();
+        let block =
+            self.chain.store.get(&self.b_com).expect("highest committed block is stored").clone();
         let update = self.sign(Payload::CommitUpdate { block }, ctx);
         ctx.flood(update);
         let certify_bytes =
@@ -200,11 +201,11 @@ impl Replica {
         }
         let block = block.clone();
         ctx.meter().charge_hash(block.wire_size());
-        let id = self.store.insert(block);
-        if self.store.lineage(&id, &self.b_lock).is_fork() {
+        let id = self.chain.store.insert(block);
+        if self.chain.store.lineage(&id, &self.b_lock).is_fork() {
             return; // provably conflicting: never certify
         }
-        let height = self.store.get(&id).expect("just inserted").height;
+        let height = self.chain.store.get(&id).expect("just inserted").height;
         let certify = self.sign(Payload::Certify { block_id: id, height }, ctx);
         ctx.send_to(msg.signer, certify);
     }
@@ -242,7 +243,7 @@ impl Replica {
             height: self.b_com_height,
             sigs,
         };
-        let block = self.store.get(&self.b_com).expect("committed block stored").clone();
+        let block = self.chain.store.get(&self.b_com).expect("committed block stored").clone();
         self.vc.best_qc = Some(CertifiedBlock { qc, block });
     }
 
@@ -266,7 +267,7 @@ impl Replica {
         {
             return;
         }
-        let id = self.store.insert(cert.block.clone());
+        let id = self.chain.store.insert(cert.block.clone());
 
         if self.r_cur == 1 && self.is_leader() {
             // Status entry for the new-view proposal. The sender holds the
@@ -281,7 +282,7 @@ impl Replica {
         // Quitting phase: adopt if strictly higher and not provably
         // conflicting with our lock.
         let higher = self.vc.best_qc.as_ref().is_none_or(|c| cert.block.height > c.block.height);
-        if higher && !self.store.lineage(&id, &self.b_lock).is_fork() {
+        if higher && !self.chain.store.lineage(&id, &self.b_lock).is_fork() {
             self.vc.best_qc = Some(cert);
         }
     }
@@ -325,7 +326,7 @@ impl Replica {
         ctx.trace(TraceEventKind::ViewEnter { view: self.v_cur });
         // Workload transactions drained into the dead view's discarded
         // proposals go back in the pool for the new view.
-        self.txpool.requeue_unresolved();
+        self.client.requeue_unresolved();
         if !self.active() {
             // The node goes silent starting this view (fault injection).
             return;
@@ -338,7 +339,8 @@ impl Replica {
             if let Some(best) = best {
                 self.nv.status_qcs.insert(self.id, best);
             }
-            let lock_block = self.store.get(&self.b_lock).expect("locked block stored").clone();
+            let lock_block =
+                self.chain.store.get(&self.b_lock).expect("locked block stored").clone();
             let bytes =
                 crate::message::signing_bytes(MsgKind::LockStatus, self.v_cur, &lock_block.id());
             let sig = self.pki.keypair(self.id).sign(&bytes);
@@ -356,7 +358,7 @@ impl Replica {
                 }
                 _ => {
                     let lock_block =
-                        self.store.get(&self.b_lock).expect("locked block stored").clone();
+                        self.chain.store.get(&self.b_lock).expect("locked block stored").clone();
                     let msg = self.sign(Payload::LockStatus { block: lock_block }, ctx);
                     ctx.send_to(leader, msg);
                 }
@@ -397,7 +399,7 @@ impl Replica {
             return;
         }
         let block = block.clone();
-        let id = self.store.insert(block.clone());
+        let id = self.chain.store.insert(block.clone());
         if let Some(missing) = self.chain_gap(&id) {
             // Locked blocks have fully-known chains at their holder.
             self.request_sync(missing, msg.signer, ctx);
@@ -438,11 +440,15 @@ impl Replica {
             ctx.set_timer(self.config.delta, TimerToken::LeaderStatus { view });
             return;
         }
-        let parent =
-            self.store.get(&highest_id).expect("status blocks were inserted on receipt").clone();
+        let parent = self
+            .chain
+            .store
+            .get(&highest_id)
+            .expect("status blocks were inserted on receipt")
+            .clone();
         let block = Block::extending(&parent, self.v_cur, 1, Vec::new());
         ctx.meter().charge_hash(block.wire_size());
-        self.store.insert(block.clone());
+        self.chain.store.insert(block.clone());
         let payload = Payload::NewViewProposal { status, block };
         self.nv.prop_hash = Some(payload.signing_digest(self.v_cur));
         let msg = self.sign(payload, ctx);
@@ -512,12 +518,12 @@ impl Replica {
         match &status {
             Status::CommitQcs(entries) => {
                 for e in entries {
-                    self.store.insert(e.block.clone());
+                    self.chain.store.insert(e.block.clone());
                 }
             }
             Status::Locks(entries) => {
                 for e in entries {
-                    self.store.insert(e.block.clone());
+                    self.chain.store.insert(e.block.clone());
                 }
             }
         }
@@ -531,9 +537,9 @@ impl Replica {
         {
             return;
         }
-        let block_id = self.store.insert(block.clone());
+        let block_id = self.chain.store.insert(block.clone());
         ctx.meter().charge_hash(block.wire_size());
-        if self.store.lineage(&block_id, &self.b_com).is_fork() {
+        if self.chain.store.lineage(&block_id, &self.b_com).is_fork() {
             return;
         }
         if let Some(missing) = self.chain_gap(&block_id) {
@@ -543,7 +549,7 @@ impl Replica {
             // proposing, whereas a flood relayer may not hold the blocks.
             // The 6Δ/8Δ timers absorb the round trip.
             let leader = msg.signer;
-            self.orphans.entry(missing).or_default().push((from, msg.clone()));
+            self.chain.park(missing, from, msg.clone());
             self.request_sync(missing, leader, ctx);
             return;
         }
@@ -573,7 +579,7 @@ impl Replica {
         }
         // f+1 votes: certify round 1 and propose round 2 (lines 260–263).
         let round1 = self.nv.round1_block.expect("voted proposals record their block");
-        let parent = self.store.get(&round1).expect("round-1 block stored").clone();
+        let parent = self.chain.store.get(&round1).expect("round-1 block stored").clone();
         let sigs: Vec<(NodeId, _)> =
             self.nv.votes.iter().take(self.config.quorum()).map(|(n, s)| (*n, s.clone())).collect();
         let qc = QuorumCert {
@@ -585,7 +591,7 @@ impl Replica {
         };
         let block = Block::extending(&parent, self.v_cur, 2, Vec::new());
         ctx.meter().charge_hash(block.wire_size());
-        self.store.insert(block.clone());
+        self.chain.store.insert(block.clone());
         let msg = self.sign(Payload::Propose { block, round: 2, justify: Some(qc) }, ctx);
         self.nv.round2_sent = true;
         ctx.flood(msg);
@@ -606,22 +612,22 @@ impl Replica {
             if qc.data != h || Some(block.parent) != self.nv.round1_block {
                 return;
             }
-        } else if !self.store.contains(&block.parent) {
+        } else if !self.chain.store.contains(&block.parent) {
             // We missed round 1 entirely: fetch the chain, then retry.
             let parent = block.parent;
-            self.orphans.entry(parent).or_default().push((from, msg.clone()));
+            self.chain.park(parent, from, msg.clone());
             self.request_sync(parent, from, ctx);
             return;
         }
         let block = block.clone();
         ctx.meter().charge_hash(block.wire_size());
-        let id = self.store.insert(block.clone());
-        if self.store.lineage(&id, &self.b_com).is_fork() {
+        let id = self.chain.store.insert(block.clone());
+        if self.chain.store.lineage(&id, &self.b_com).is_fork() {
             return;
         }
         if let Some(missing) = self.chain_gap(&id) {
             let leader = msg.signer;
-            self.orphans.entry(missing).or_default().push((from, msg.clone()));
+            self.chain.park(missing, from, msg.clone());
             self.request_sync(missing, leader, ctx);
             return;
         }

@@ -121,9 +121,9 @@ impl NodeReport {
             tx_injected: metrics.tx_injected,
             tx_forwarded: metrics.tx_forwarded,
             forward_retries: metrics.forward_retries,
-            peak_backlog: node.peak_backlog() as u64,
+            peak_backlog: node.client().peak_backlog() as u64,
             mean_batch_fill_pct: metrics.mean_batch_fill_pct(),
-            tx_latency_hist: node.tx_latencies().clone(),
+            tx_latency_hist: node.client().tx_latencies().clone(),
             commit_fps: prefix.iter().map(eesmr_core::block::fingerprint).collect(),
             // 0 when a block body is no longer stored locally.
             commit_txs: prefix
