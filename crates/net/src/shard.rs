@@ -87,7 +87,7 @@
 //! }
 //! ```
 
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use eesmr_energy::EnergyMeter;
 use eesmr_metrics::{MetricsSet, ProfPhase, ProfTimer};
@@ -444,7 +444,7 @@ where
         pred: Option<NodePred<'_, A>>,
     ) -> (u64, bool) {
         let count = shards.len();
-        let barrier = Barrier::new(count);
+        let barrier = WorkerBarrier::new(count);
         let decision = Mutex::new(Decision::Done);
         let (lookahead, limit) = (clock.lookahead, clock.limit);
         let clock = Mutex::new(clock);
@@ -470,6 +470,7 @@ where
                 let horizons = &horizons;
                 let mail = &mail;
                 scope.spawn(move || {
+                    let _poison = PoisonOnPanic(barrier);
                     *locals[w].lock().unwrap() = (shard.next_time(), Self::shard_pred(shard, pred));
                     // Leader-only scratch for the per-shard next times.
                     let mut nexts: Vec<Option<u64>> = vec![None; count];
@@ -553,6 +554,71 @@ where
         });
         let (at, met) = *outcome.lock().unwrap();
         (at, met)
+    }
+}
+
+/// The lockstep barrier of the shard workers. Unlike
+/// `std::sync::Barrier`, a worker that panics poisons it (through its
+/// [`PoisonOnPanic`] guard): every worker waiting at it, or arriving
+/// later, panics too. Otherwise the survivors would wait for the dead
+/// worker forever and `thread::scope` would never return; this way the
+/// scope joins every worker and re-raises the panic to `run`'s caller.
+struct WorkerBarrier {
+    count: usize,
+    state: Mutex<BarrierState>,
+    released: Condvar,
+}
+
+#[derive(Default)]
+struct BarrierState {
+    /// Workers waiting in the current round.
+    arrived: usize,
+    /// Completed rounds; a waiter leaves when this moves on.
+    round: u64,
+    poisoned: bool,
+}
+
+impl WorkerBarrier {
+    fn new(count: usize) -> Self {
+        WorkerBarrier { count, state: Mutex::default(), released: Condvar::new() }
+    }
+
+    /// Blocks until all `count` workers have arrived.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another worker panicked.
+    fn wait(&self) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let round = state.round;
+        state.arrived += 1;
+        if state.arrived == self.count {
+            state.arrived = 0;
+            state.round += 1;
+            self.released.notify_all();
+        }
+        while state.round == round && !state.poisoned {
+            state = self.released.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        let poisoned = state.poisoned;
+        drop(state);
+        assert!(!poisoned, "another shard worker panicked");
+    }
+
+    fn poison(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).poisoned = true;
+        self.released.notify_all();
+    }
+}
+
+/// Poisons the barrier if its worker unwinds.
+struct PoisonOnPanic<'a>(&'a WorkerBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
+        }
     }
 }
 
@@ -739,6 +805,46 @@ mod tests {
         assert!(reference.actor(0).echoes.len() >= 10, "the echoes came back");
         assert_eq!(net.actor(0).echoes, reference.actor(0).echoes);
         assert_eq!(net.stats(), reference.stats().clone());
+    }
+
+    /// Panics in node 1's first timer — on the second shard of a
+    /// two-shard split, while the first shard waits at the barrier.
+    #[derive(Debug, Default)]
+    struct Bomb;
+
+    impl Actor for Bomb {
+        type Msg = TMsg;
+        type Timer = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, TMsg, ()>) {
+            ctx.set_timer(SimDuration::from_millis(3), ());
+        }
+
+        fn on_message(&mut self, _: NodeId, _: TMsg, _: &mut Context<'_, TMsg, ()>) {}
+
+        fn on_timer(&mut self, _: (), ctx: &mut Context<'_, TMsg, ()>) {
+            assert_ne!(ctx.id(), 1, "node 1 blows up mid-run");
+            ctx.set_timer(SimDuration::from_millis(1), ());
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_fails_the_run_instead_of_deadlocking() {
+        let (done, outcome) = std::sync::mpsc::channel();
+        // The run goes on a helper thread so a deadlock fails this test
+        // at the timeout instead of hanging the suite.
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                let mut net =
+                    ShardedNet::new(NetConfig::ble(ring_kcast(2, 1), 5), vec![Bomb, Bomb], 2);
+                net.run_for(SimDuration::from_millis(20));
+            });
+            let _ = done.send(run.is_err());
+        });
+        let panicked = outcome
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the surviving worker deadlocked at the barrier");
+        assert!(panicked, "the worker's panic reaches the caller of run");
     }
 
     #[test]
