@@ -1,9 +1,8 @@
 //! Multi-process transport: each [`Actor`] runs in its own OS process and
 //! exchanges [`WireCodec`]-encoded frames over TCP or Unix domain sockets.
 //!
-//! This is the third net backend (after the deterministic simulator and
-//! [`crate::threads::ThreadNet`]): real kernel scheduling, real sockets,
-//! real bytes. A **coordinator** process spawns one child per replica
+//! Unlike the deterministic simulator (and its sharded twin), this backend
+//! has real kernel scheduling, real sockets, real bytes. A **coordinator** process spawns one child per replica
 //! (same binary, `--node-id`/`--listen`/`--peers` flags), connects a
 //! control channel to each, releases them simultaneously, polls progress,
 //! and finally collects one opaque report blob per node.
@@ -488,8 +487,8 @@ where
     }
 }
 
-/// The per-process mirror of `ThreadNet`'s node runtime: same timer
-/// calendar and effect handling, sockets instead of channels.
+/// One node's runtime inside its child process: a wall-clock timer
+/// calendar plus the actor's effects mapped onto sockets.
 struct ProcRuntime<A: Actor> {
     id: NodeId,
     actor: A,

@@ -69,9 +69,7 @@ pub mod prelude {
     };
     pub use eesmr_hypergraph::Hypergraph;
     pub use eesmr_metrics::{MetricsConfig, MetricsSet};
-    pub use eesmr_net::{
-        NetConfig, SchedulerKind, SimDuration, SimNet, SimTime, ThreadNet, ThreadNetConfig,
-    };
+    pub use eesmr_net::{NetConfig, SchedulerKind, SimDuration, SimNet, SimTime};
     pub use eesmr_sim::{
         BatchPolicy, CellKey, FaultPlan, NodeEnergy, NodeReport, Protocol, RunReport, Scenario,
         StopWhen, TxLatencyStats,
