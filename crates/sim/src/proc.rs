@@ -24,6 +24,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use eesmr_crypto::SigScheme;
+use eesmr_net::codec::{put_count, read_count};
 use eesmr_net::proc::{alloc_addrs, ChildOpts, ChildProc, Coordinator, ProcTransport};
 use eesmr_net::{CodecError, NetStats, Reader, SimDuration};
 use eesmr_trace::hist::LogHistogram;
@@ -198,15 +199,15 @@ pub fn encode_node_report(node: &NodeReport, stats: &NetStats) -> Vec<u8> {
     put_u64(&mut out, (sum >> 64) as u64);
     put_u64(&mut out, min);
     put_u64(&mut out, max);
-    put_u32(&mut out, buckets.len() as u32);
+    put_count(&mut out, buckets.len());
     for &b in buckets {
         put_u64(&mut out, b);
     }
-    put_u32(&mut out, node.commit_fps.len() as u32);
+    put_count(&mut out, node.commit_fps.len());
     for &fp in &node.commit_fps {
         put_u64(&mut out, fp);
     }
-    put_u32(&mut out, node.commit_txs.len() as u32);
+    put_count(&mut out, node.commit_txs.len());
     for &txs in &node.commit_txs {
         put_u32(&mut out, txs);
     }
@@ -264,28 +265,19 @@ pub fn decode_node_report(blob: &[u8]) -> io::Result<(NodeReport, NetStats)> {
     let sum_hi = r.u64().map_err(bad)?;
     let min = r.u64().map_err(bad)?;
     let max = r.u64().map_err(bad)?;
-    let n_buckets = r.u32().map_err(bad)? as usize;
-    if n_buckets.saturating_mul(8) > r.remaining() {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "report blob: bucket overrun"));
-    }
+    let n_buckets = read_count(&mut r, 8, "histogram buckets").map_err(bad)?;
     let mut buckets = Vec::with_capacity(n_buckets);
     for _ in 0..n_buckets {
         buckets.push(r.u64().map_err(bad)?);
     }
     let sum = (sum_lo as u128) | ((sum_hi as u128) << 64);
     let tx_latency_hist = LogHistogram::from_raw_parts(buckets, count, sum, min, max);
-    let n_fps = r.u32().map_err(bad)? as usize;
-    if n_fps.saturating_mul(8) > r.remaining() {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "report blob: fps overrun"));
-    }
+    let n_fps = read_count(&mut r, 8, "commit fingerprints").map_err(bad)?;
     let mut commit_fps = Vec::with_capacity(n_fps);
     for _ in 0..n_fps {
         commit_fps.push(r.u64().map_err(bad)?);
     }
-    let n_txs = r.u32().map_err(bad)? as usize;
-    if n_txs.saturating_mul(4) > r.remaining() {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "report blob: txs overrun"));
-    }
+    let n_txs = read_count(&mut r, 4, "commit tx counts").map_err(bad)?;
     let mut commit_txs = Vec::with_capacity(n_txs);
     for _ in 0..n_txs {
         commit_txs.push(r.u32().map_err(bad)?);
