@@ -494,13 +494,9 @@ impl HsReplica {
     /// Forward now, or wait for the `forward_batch` threshold or the Δ
     /// flush timer (see `ClientPath::forward_due`).
     fn maybe_forward_backlog(&mut self, ctx: &mut Ctx<'_>) {
+        let (threshold, flush_after) = (self.config.forward_batch, self.config.delta);
         if self.may_forward()
-            && self.client.forward_due(
-                self.config.forward_batch,
-                self.config.delta,
-                ctx,
-                HsTimer::ForwardFlush,
-            )
+            && self.client.forward_due(threshold, flush_after, ctx, HsTimer::ForwardFlush)
         {
             self.forward_backlog(ctx);
         }

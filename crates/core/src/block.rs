@@ -492,15 +492,9 @@ impl BlockStore {
     /// server sends a lagging peer (a still-lagging requester asks
     /// again). Stops early at a gap.
     pub fn committed_suffix(&self, tip: &Digest, above_height: u64, cap: usize) -> Vec<Block> {
-        let mut blocks = Vec::new();
-        let mut cur = *tip;
-        while let Some(b) = self.blocks.get(&cur) {
-            if b.height <= above_height || blocks.len() >= cap {
-                break;
-            }
-            blocks.push(b.clone());
-            cur = b.parent;
-        }
+        let ancestors = self.ancestors(tip, cap).into_iter();
+        let mut blocks: Vec<Block> =
+            ancestors.take_while(|b| b.height > above_height).cloned().collect();
         blocks.reverse();
         blocks
     }
@@ -513,7 +507,7 @@ impl BlockStore {
 /// Blocks are self-certifying (hash-linked), so nothing here checks a
 /// signature. Each protocol still sends its own signed request and
 /// replays the unblocked orphans through its own handler.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ChainSync<M> {
     /// Every block this replica holds.
     pub store: BlockStore,

@@ -395,13 +395,9 @@ impl Replica {
     /// [`Config::forward_batch`]): forward now, or wait for the
     /// threshold or the Δ flush timer.
     pub(crate) fn maybe_forward_backlog(&mut self, ctx: &mut Ctx<'_>) {
+        let (threshold, flush_after) = (self.config.forward_batch, self.config.delta);
         if self.may_forward()
-            && self.client.forward_due(
-                self.config.forward_batch,
-                self.config.delta,
-                ctx,
-                TimerToken::ForwardFlush,
-            )
+            && self.client.forward_due(threshold, flush_after, ctx, TimerToken::ForwardFlush)
         {
             self.forward_backlog(ctx);
         }

@@ -833,7 +833,7 @@ mod tests {
         let (done, outcome) = std::sync::mpsc::channel();
         // The run goes on a helper thread so a deadlock fails this test
         // at the timeout instead of hanging the suite.
-        std::thread::spawn(move || {
+        let helper = std::thread::spawn(move || {
             let run = std::panic::catch_unwind(|| {
                 let mut net =
                     ShardedNet::new(NetConfig::ble(ring_kcast(2, 1), 5), vec![Bomb, Bomb], 2);
@@ -844,6 +844,7 @@ mod tests {
         let panicked = outcome
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("the surviving worker deadlocked at the barrier");
+        helper.join().expect("catch_unwind caught the panic");
         assert!(panicked, "the worker's panic reaches the caller of run");
     }
 
